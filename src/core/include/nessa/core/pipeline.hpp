@@ -2,13 +2,8 @@
 //
 // Every pipeline couples two scales (see config.hpp): real substrate
 // training for accuracy, analytic paper-scale costing for time and bytes.
-// All four of the paper's comparison systems are here:
-//   run_nessa    — the full SmartSSD+GPU system with §3.2 optimizations,
-//   run_full     — conventional training on all data (the "Goal"/"All Data"
-//                  column),
-//   run_craig    — CRAIG [20]: CPU-side per-epoch coreset selection,
-//   run_kcenter  — K-centers [17]: CPU-side farthest-first core-set,
-//   run_random   — uniform random subset (sanity baseline).
+// All of them run one epoch loop; they differ only in how each epoch's
+// subset is chosen and what choosing it costs.
 #pragma once
 
 #include <functional>
@@ -60,11 +55,9 @@ struct PipelineInputs {
   ckpt::CheckpointConfig checkpoint{};
 };
 
-// The unified API is core::run(const RunConfig&) / core::run(inputs,
-// config, system) in run.hpp: one validated spec drives the whole run and
-// dispatches on config.pipeline. The PR-2 era piecewise run_full/run_nessa
-// overloads (and their RunConfig-staging shims) are gone; the two drivers
-// below live in detail:: with core::run as their one sanctioned caller.
+// The unified API is core::run (run.hpp): one validated RunConfig drives
+// the run and dispatches on config.pipeline. The two drivers below are its
+// internal targets.
 
 namespace detail {
 

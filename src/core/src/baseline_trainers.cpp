@@ -1,32 +1,80 @@
-// CPU-side selection baselines: CRAIG [20], K-centers [17], and uniform
-// random. All three train the same substrate model as NeSSA; the difference
-// is where and how the subset is chosen, and what that costs at paper scale:
-//  - CRAIG streams the full dataset to the host every epoch, runs a float
-//    embedding pass on the GPU, then a per-class (unpartitioned) lazy-greedy
-//    facility location on the CPU, and trains with gamma-weighted SGD.
-//  - K-centers streams the full dataset to the host, extracts penultimate
-//    features on the GPU, and runs greedy farthest-first on the CPU — whose
-//    O(n k d_feat) distance work at paper scale is what makes it the slowest
-//    system in Fig. 4.
+// The comparison pipelines. All train the same substrate model as NeSSA;
+// they differ in where and how the subset is chosen, and what that costs at
+// paper scale:
+//  - Full streams the whole dataset SSD -> host -> GPU every epoch (paper
+//    "All Data" / Table 3 "Goal"); full_cached puts a SHADE/iCache-style
+//    host cache in front of it (the paper's §1 argument that caching alone
+//    cannot solve the training bottleneck — gradient work is untouched).
 //  - Random needs no scan at all; it reads just the sampled subset.
-#include <algorithm>
+//  - CRAIG [20] streams the full dataset to the host every epoch, runs a
+//    float embedding pass on the GPU, then a per-class (unpartitioned)
+//    lazy-greedy facility location on the CPU, and trains with
+//    gamma-weighted SGD.
+//  - K-centers [17] streams the full dataset to the host, extracts
+//    penultimate features on the GPU, and runs greedy farthest-first on the
+//    CPU — whose O(n k d_feat) distance work at paper scale is what makes
+//    it the slowest system in Fig. 4.
+//  - Loss top-k, the "biggest losers" heuristic [19], ranks by loss alone
+//    and therefore chases label noise and boundary points without any
+//    representativeness constraint.
 #include <cmath>
 
-#include "nessa/core/pipeline.hpp"
+#include "epoch_loop.hpp"
 #include "nessa/core/train_utils.hpp"
-#include "nessa/fault/crash.hpp"
 #include "nessa/nn/embedding.hpp"
-#include "nessa/nn/metrics.hpp"
-#include "nessa/nn/optimizer.hpp"
 #include "nessa/selection/baselines.hpp"
 #include "nessa/selection/drivers.hpp"
 #include "nessa/selection/kcenter.hpp"
 #include "pipeline_common.hpp"
-#include "trainer_ckpt.hpp"
 
 namespace nessa::core {
 
 namespace {
+
+using detail::Subset;
+using detail::Trainer;
+
+/// Paper-scale cost of an epoch that streams `records` samples SSD -> host
+/// -> GPU and trains on them; the bytes cross the interconnect.
+EpochCost conventional_cost(Trainer& t, std::size_t records,
+                            const smartssd::HostCache* cache = nullptr) {
+  const std::uint64_t record_bytes = t.inputs.info.stored_bytes_per_sample;
+  ConventionalDemand demand;
+  demand.train_records = records;
+  demand.record_bytes = record_bytes;
+  demand.train_gflops_per_sample = t.inputs.model.paper_gflops_per_sample;
+  demand.batch_size = t.inputs.train.batch_size;
+  if (cache != nullptr) {
+    // Identical gradient work; the cache only shortens the input pipeline
+    // and shrinks interconnect traffic to the miss set.
+    demand.data_time_override =
+        cache->epoch_data_time(t.system.gpu(), records, record_bytes);
+    t.result.interconnect_bytes +=
+        cache->epoch_miss_bytes(records, record_bytes);
+  } else {
+    t.result.interconnect_bytes +=
+        static_cast<std::uint64_t>(records) * record_bytes;
+  }
+  return t.perf->conventional_epoch(t.system, demand);
+}
+
+/// Paper-scale cost of a host-side selection epoch: the full dataset
+/// streams to the host (raw link time or record decode for the GPU
+/// inference pass, whichever dominates), the CPU spends `cpu_ops`
+/// selecting, and the subset goes to the GPU.
+EpochCost host_selection_cost(Trainer& t, double fraction, double cpu_ops) {
+  const std::size_t paper_n = t.inputs.info.paper_train_size;
+  HostSelectionDemand demand;
+  demand.scan_records = paper_n;
+  demand.subset_records = detail::paper_count(t.inputs, fraction);
+  demand.record_bytes = t.inputs.info.stored_bytes_per_sample;
+  demand.train_gflops_per_sample = t.inputs.model.paper_gflops_per_sample;
+  demand.batch_size = t.inputs.train.batch_size;
+  demand.cpu_selection_ops = cpu_ops;
+  t.result.interconnect_bytes +=
+      static_cast<std::uint64_t>(paper_n) * demand.record_bytes;
+  return t.perf->host_selection_epoch(t.system, demand);
+}
 
 /// Penultimate feature width of the paper network (ResNet global-average-
 /// pool output); drives the K-centers CPU distance cost at paper scale.
@@ -36,252 +84,184 @@ std::size_t paper_feature_dim(const nn::ModelSpec& spec) {
   return 64;  // ResNet-20
 }
 
-struct CommonState {
-  nn::Sequential model;
-  nn::Sgd sgd;
-  nn::StepLrSchedule schedule;
-  util::Rng rng;
+class FullData final : public detail::Selector {
+ public:
+  FullData(const Trainer& t, const smartssd::HostCache* cache)
+      : Selector(cache != nullptr ? "full_cached" : "full"),
+        all_(iota_indices(t.inputs.dataset->train_size())),
+        cache_(cache) {}
+
+  Subset select(Trainer&, std::size_t, const data::Dataset&) override {
+    return {all_, {}, all_.size(), /*fresh=*/false};
+  }
+
+  EpochCost end_epoch(Trainer& t, const EpochReport&) override {
+    return conventional_cost(t, t.inputs.info.paper_train_size, cache_);
+  }
+
+ private:
+  const std::vector<std::size_t> all_;
+  const smartssd::HostCache* cache_;
 };
 
-CommonState make_state(const PipelineInputs& inputs) {
-  util::Rng rng(inputs.train.seed);
-  auto model = detail::build_target_model(inputs, rng);
-  return CommonState{
-      std::move(model), nn::Sgd(inputs.train.sgd),
-      inputs.train.scale_lr_schedule
-          ? nn::StepLrSchedule::paper_scaled(inputs.train.epochs)
-          : nn::StepLrSchedule::paper_default(),
-      std::move(rng)};
-}
+class RandomSubset final : public detail::Selector {
+ public:
+  RandomSubset(const Trainer& t, double fraction)
+      : Selector("random", fraction),
+        k_(detail::subset_budget(t.inputs, fraction)) {}
+
+  Subset select(Trainer& t, std::size_t, const data::Dataset&) override {
+    subset_ = selection::random_subset(t.inputs.dataset->train_size(), k_,
+                                       t.rng);
+    return {subset_, {}, t.inputs.dataset->train_size()};
+  }
+
+  EpochCost end_epoch(Trainer& t, const EpochReport&) override {
+    return conventional_cost(t, detail::paper_count(t.inputs, knob));
+  }
+
+ private:
+  const std::size_t k_;
+  std::vector<std::size_t> subset_;
+};
+
+class Craig final : public detail::Selector {
+ public:
+  Craig(const Trainer& t, double fraction)
+      : Selector("craig", fraction),
+        k_(detail::subset_budget(t.inputs, fraction)),
+        all_(iota_indices(t.inputs.dataset->train_size())) {
+    driver_.greedy = selection::GreedyKind::kLazy;
+    driver_.per_class = true;
+    driver_.partition_quota = 0;  // CRAIG selects over whole classes
+  }
+
+  Subset select(Trainer& t, std::size_t epoch,
+                const data::Dataset& data) override {
+    driver_.seed = t.inputs.train.seed * 104729 + epoch;
+    // Float gradient embeddings over the full dataset (GPU inference).
+    const auto emb = nn::compute_embeddings(t.model, data.train().features,
+                                            data.train().labels,
+                                            nn::EmbeddingKind::kLogitGrad);
+    coreset_ = selection::select_coreset(emb.embeddings, data.train().labels,
+                                         all_, k_, driver_);
+    weights_.assign(coreset_.weights.begin(), coreset_.weights.end());
+    return {coreset_.indices, weights_, all_.size()};
+  }
+
+  EpochCost end_epoch(Trainer& t, const EpochReport&) override {
+    // Quadratic per class: no partitioning.
+    const double ratio = detail::scale_ratio(t.inputs);
+    return host_selection_cost(
+        t, knob,
+        static_cast<double>(coreset_.similarity_ops + coreset_.greedy_ops) *
+            ratio * ratio);
+  }
+
+ private:
+  const std::size_t k_;
+  const std::vector<std::size_t> all_;
+  selection::DriverConfig driver_;
+  selection::CoresetResult coreset_;
+  std::vector<double> weights_;
+};
+
+class KCenter final : public detail::Selector {
+ public:
+  KCenter(const Trainer& t, double fraction)
+      : Selector("kcenter", fraction),
+        k_(detail::subset_budget(t.inputs, fraction)) {}
+
+  Subset select(Trainer& t, std::size_t,
+                const data::Dataset& data) override {
+    // Penultimate features of the float model (substrate-real).
+    const auto fwd =
+        nn::forward_with_penultimate(t.model, data.train().features);
+    centers_ = selection::kcenter_greedy(fwd.penultimate, k_).selected;
+    return {centers_, {}, t.inputs.dataset->train_size()};
+  }
+
+  EpochCost end_epoch(Trainer& t, const EpochReport&) override {
+    // CPU farthest-first O(n k d_feat) distance work. Sener & Savarese's
+    // method is the *robust* k-center: after the greedy seed it runs
+    // several rounds of feasibility checks over the distance matrix. We
+    // charge kRobustRounds passes over the greedy's O(n k d) distance work,
+    // which is what makes K-centers slower end-to-end than full-data
+    // training (Fig. 4).
+    constexpr double kRobustRounds = 2.5;
+    return host_selection_cost(
+        t, knob,
+        static_cast<double>(t.inputs.info.paper_train_size) *
+            static_cast<double>(detail::paper_count(t.inputs, knob)) *
+            static_cast<double>(paper_feature_dim(t.inputs.model)) * 3.0 *
+            kRobustRounds);
+  }
+
+ private:
+  const std::size_t k_;
+  std::vector<std::size_t> centers_;
+};
+
+class LossTopk final : public detail::Selector {
+ public:
+  LossTopk(const Trainer& t, double fraction)
+      : Selector("loss_topk", fraction),
+        k_(detail::subset_budget(t.inputs, fraction)) {}
+
+  Subset select(Trainer& t, std::size_t,
+                const data::Dataset& data) override {
+    // Loss scan over everything (GPU inference), then a trivial top-k.
+    const auto emb = nn::compute_embeddings(t.model, data.train().features,
+                                            data.train().labels,
+                                            nn::EmbeddingKind::kLogitGrad);
+    subset_ = selection::loss_topk(emb.losses, k_);
+    return {subset_, {}, t.inputs.dataset->train_size()};
+  }
+
+  EpochCost end_epoch(Trainer& t, const EpochReport&) override {
+    return host_selection_cost(t, knob, 0.0);  // no CPU greedy phase
+  }
+
+ private:
+  const std::size_t k_;
+  std::vector<std::size_t> subset_;
+};
 
 }  // namespace
 
-RunResult run_craig(const PipelineInputs& inputs, double subset_fraction,
-                    smartssd::SmartSsdSystem& system) {
-  detail::check_inputs(inputs);
-  const data::Dataset& ds = *inputs.dataset;
-  const std::size_t n = ds.train_size();
-  auto st = make_state(inputs);
-  auto perf = make_performance_model(inputs.perf_model);
+namespace detail {
 
-  const std::size_t k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::round(subset_fraction *
-                                             static_cast<double>(n))));
-  const std::uint64_t sample_bytes = inputs.info.stored_bytes_per_sample;
-  const std::size_t paper_n = inputs.info.paper_train_size;
-  const std::size_t paper_k = detail::paper_count(inputs, subset_fraction);
-  const double ratio = detail::scale_ratio(inputs);
-
-  selection::DriverConfig driver;
-  driver.greedy = selection::GreedyKind::kLazy;
-  driver.per_class = true;
-  driver.partition_quota = 0;  // CRAIG selects over whole classes
-
-  const auto all = iota_indices(n);
-
-  RunResult result;
-  std::vector<std::size_t> prev_subset;
-  detail::CommonCheckpointHook ckpt(inputs, "craig", subset_fraction, st.rng,
-                                    st.model, st.sgd, result, &prev_subset);
-  for (std::size_t epoch = ckpt.start_epoch(); epoch < inputs.train.epochs;
-       ++epoch) {
-    fault::maybe_crash(inputs.fault_plan, epoch, ckpt.sim_elapsed());
-    st.sgd.set_learning_rate(st.schedule.lr_at(epoch));
-    driver.seed = inputs.train.seed * 104729 + epoch;
-    const data::Dataset& eds = detail::epoch_data(inputs, epoch);
-
-    // Float gradient embeddings over the full dataset (GPU inference).
-    auto emb = nn::compute_embeddings(st.model, eds.train().features,
-                                      eds.train().labels,
-                                      nn::EmbeddingKind::kLogitGrad);
-    std::vector<std::int32_t> labels(eds.train().labels.begin(),
-                                     eds.train().labels.end());
-    auto coreset =
-        selection::select_coreset(emb.embeddings, labels, all, k, driver);
-
-    std::vector<double> weights(coreset.weights.begin(),
-                                coreset.weights.end());
-    EpochReport report;
-    report.epoch = epoch;
-    report.subset_size = coreset.indices.size();
-    report.pool_size = n;
-    report.subset_fraction =
-        static_cast<double>(coreset.indices.size()) / static_cast<double>(n);
-    report.selection_overlap =
-        prev_subset.empty()
-            ? 1.0
-            : detail::selection_overlap(coreset.indices, prev_subset);
-    report.class_mix = detail::stream_class_mix(inputs, epoch);
-    report.train_loss =
-        train_one_epoch(st.model, st.sgd, eds.train(), coreset.indices,
-                        weights, inputs.train.batch_size, st.rng);
-    report.test_accuracy =
-        nn::evaluate(st.model, eds.test().features, eds.test().labels)
-            .accuracy;
-    prev_subset = coreset.indices;
-
-    // Paper-scale cost (serial phases): full scan to host (raw link time
-    // or record decode for the embedding pass, whichever dominates), GPU
-    // embedding pass, CPU greedy (quadratic per class — no partitioning),
-    // subset in.
-    HostSelectionDemand demand;
-    demand.scan_records = paper_n;
-    demand.subset_records = paper_k;
-    demand.record_bytes = sample_bytes;
-    demand.train_gflops_per_sample = inputs.model.paper_gflops_per_sample;
-    demand.batch_size = inputs.train.batch_size;
-    demand.cpu_selection_ops =
-        static_cast<double>(coreset.similarity_ops + coreset.greedy_ops) *
-        ratio * ratio;
-    report.cost = perf->host_selection_epoch(system, demand);
-    result.interconnect_bytes +=
-        static_cast<std::uint64_t>(paper_n) * sample_bytes;
-
-    result.epochs.push_back(std::move(report));
-    ckpt.epoch_done(epoch);
-  }
-  result.finalize();
-  return result;
+RunResult run_full(const PipelineInputs& inputs,
+                   smartssd::SmartSsdSystem& system) {
+  return run_pipeline<FullData>(inputs, system, nullptr);
 }
 
-RunResult run_kcenter(const PipelineInputs& inputs, double subset_fraction,
-                      smartssd::SmartSsdSystem& system) {
-  detail::check_inputs(inputs);
-  const data::Dataset& ds = *inputs.dataset;
-  const std::size_t n = ds.train_size();
-  auto st = make_state(inputs);
-  auto perf = make_performance_model(inputs.perf_model);
+}  // namespace detail
 
-  const std::size_t k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::round(subset_fraction *
-                                             static_cast<double>(n))));
-  const std::uint64_t sample_bytes = inputs.info.stored_bytes_per_sample;
-  const std::size_t paper_n = inputs.info.paper_train_size;
-  const std::size_t paper_k = detail::paper_count(inputs, subset_fraction);
-  const std::size_t feat_dim = paper_feature_dim(inputs.model);
-
-  RunResult result;
-  std::vector<std::size_t> prev_subset;
-  detail::CommonCheckpointHook ckpt(inputs, "kcenter", subset_fraction,
-                                    st.rng, st.model, st.sgd, result,
-                                    &prev_subset);
-  for (std::size_t epoch = ckpt.start_epoch(); epoch < inputs.train.epochs;
-       ++epoch) {
-    fault::maybe_crash(inputs.fault_plan, epoch, ckpt.sim_elapsed());
-    st.sgd.set_learning_rate(st.schedule.lr_at(epoch));
-    const data::Dataset& eds = detail::epoch_data(inputs, epoch);
-
-    // Penultimate features of the float model (substrate-real).
-    auto fwd = nn::forward_with_penultimate(st.model, eds.train().features);
-    auto centers = selection::kcenter_greedy(fwd.penultimate, k);
-
-    EpochReport report;
-    report.epoch = epoch;
-    report.subset_size = centers.selected.size();
-    report.pool_size = n;
-    report.subset_fraction = static_cast<double>(centers.selected.size()) /
-                             static_cast<double>(n);
-    report.selection_overlap =
-        prev_subset.empty()
-            ? 1.0
-            : detail::selection_overlap(centers.selected, prev_subset);
-    report.class_mix = detail::stream_class_mix(inputs, epoch);
-    report.train_loss =
-        train_one_epoch(st.model, st.sgd, eds.train(), centers.selected, {},
-                        inputs.train.batch_size, st.rng);
-    report.test_accuracy =
-        nn::evaluate(st.model, eds.test().features, eds.test().labels)
-            .accuracy;
-    prev_subset = centers.selected;
-
-    // Paper-scale cost: full scan to host (link or decode, whichever
-    // dominates), GPU feature pass, CPU farthest-first O(n k d_feat)
-    // distance work, subset in. The distance term is what makes K-centers
-    // the slowest bar in Fig. 4. Sener & Savarese's method is the *robust*
-    // k-center: after the greedy seed it runs several rounds of feasibility
-    // checks over the distance matrix. We charge kRobustRounds passes over
-    // the greedy's O(n k d) distance work, which is what makes K-centers
-    // slower end-to-end than full-data training (Fig. 4).
-    constexpr double kRobustRounds = 2.5;
-    HostSelectionDemand demand;
-    demand.scan_records = paper_n;
-    demand.subset_records = paper_k;
-    demand.record_bytes = sample_bytes;
-    demand.train_gflops_per_sample = inputs.model.paper_gflops_per_sample;
-    demand.batch_size = inputs.train.batch_size;
-    demand.cpu_selection_ops = static_cast<double>(paper_n) *
-                               static_cast<double>(paper_k) *
-                               static_cast<double>(feat_dim) * 3.0 *
-                               kRobustRounds;
-    report.cost = perf->host_selection_epoch(system, demand);
-    result.interconnect_bytes +=
-        static_cast<std::uint64_t>(paper_n) * sample_bytes;
-
-    result.epochs.push_back(std::move(report));
-    ckpt.epoch_done(epoch);
-  }
-  result.finalize();
-  return result;
+RunResult run_full_cached(const PipelineInputs& inputs,
+                          const smartssd::HostCache& cache,
+                          smartssd::SmartSsdSystem& system) {
+  return detail::run_pipeline<FullData>(inputs, system, &cache);
 }
 
 RunResult run_random(const PipelineInputs& inputs, double subset_fraction,
                      smartssd::SmartSsdSystem& system) {
-  detail::check_inputs(inputs);
-  const data::Dataset& ds = *inputs.dataset;
-  const std::size_t n = ds.train_size();
-  auto st = make_state(inputs);
-  auto perf = make_performance_model(inputs.perf_model);
+  return detail::run_pipeline<RandomSubset>(inputs, system, subset_fraction);
+}
 
-  const std::size_t k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::round(subset_fraction *
-                                             static_cast<double>(n))));
-  const std::uint64_t sample_bytes = inputs.info.stored_bytes_per_sample;
-  const std::size_t paper_k = detail::paper_count(inputs, subset_fraction);
+RunResult run_craig(const PipelineInputs& inputs, double subset_fraction,
+                    smartssd::SmartSsdSystem& system) {
+  return detail::run_pipeline<Craig>(inputs, system, subset_fraction);
+}
 
-  RunResult result;
-  std::vector<std::size_t> prev_subset;
-  detail::CommonCheckpointHook ckpt(inputs, "random", subset_fraction,
-                                    st.rng, st.model, st.sgd, result,
-                                    &prev_subset);
-  for (std::size_t epoch = ckpt.start_epoch(); epoch < inputs.train.epochs;
-       ++epoch) {
-    fault::maybe_crash(inputs.fault_plan, epoch, ckpt.sim_elapsed());
-    st.sgd.set_learning_rate(st.schedule.lr_at(epoch));
-    const data::Dataset& eds = detail::epoch_data(inputs, epoch);
-    auto subset = selection::random_subset(n, k, st.rng);
+RunResult run_kcenter(const PipelineInputs& inputs, double subset_fraction,
+                      smartssd::SmartSsdSystem& system) {
+  return detail::run_pipeline<KCenter>(inputs, system, subset_fraction);
+}
 
-    EpochReport report;
-    report.epoch = epoch;
-    report.subset_size = subset.size();
-    report.pool_size = n;
-    report.subset_fraction =
-        static_cast<double>(subset.size()) / static_cast<double>(n);
-    report.selection_overlap =
-        prev_subset.empty() ? 1.0
-                            : detail::selection_overlap(subset, prev_subset);
-    report.class_mix = detail::stream_class_mix(inputs, epoch);
-    report.train_loss =
-        train_one_epoch(st.model, st.sgd, eds.train(), subset, {},
-                        inputs.train.batch_size, st.rng);
-    report.test_accuracy =
-        nn::evaluate(st.model, eds.test().features, eds.test().labels)
-            .accuracy;
-    prev_subset = std::move(subset);
-
-    ConventionalDemand demand;
-    demand.train_records = paper_k;
-    demand.record_bytes = sample_bytes;
-    demand.train_gflops_per_sample = inputs.model.paper_gflops_per_sample;
-    demand.batch_size = inputs.train.batch_size;
-    report.cost = perf->conventional_epoch(system, demand);
-    result.interconnect_bytes +=
-        static_cast<std::uint64_t>(paper_k) * sample_bytes;
-
-    result.epochs.push_back(std::move(report));
-    ckpt.epoch_done(epoch);
-  }
-  result.finalize();
-  return result;
+RunResult run_loss_topk(const PipelineInputs& inputs, double subset_fraction,
+                        smartssd::SmartSsdSystem& system) {
+  return detail::run_pipeline<LossTopk>(inputs, system, subset_fraction);
 }
 
 }  // namespace nessa::core

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "nessa/data/registry.hpp"
+#include "nessa/smartssd/gpu_model.hpp"
 
 namespace nessa::core {
 
@@ -52,6 +53,12 @@ void check_system(const smartssd::SystemConfig& sys,
   }
   if (sys.gpu.empty()) {
     errors.push_back("system.gpu: GPU name must not be empty");
+  } else {
+    try {
+      (void)smartssd::gpu_spec(sys.gpu);
+    } catch (const std::exception& e) {
+      errors.push_back("system.gpu: " + std::string(e.what()));
+    }
   }
 }
 

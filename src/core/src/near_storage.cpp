@@ -4,28 +4,27 @@
 #include <stdexcept>
 
 #include "nessa/nn/embedding.hpp"
-#include "nessa/nn/loss.hpp"
-#include "nessa/tensor/ops.hpp"
 
 namespace nessa::core {
 
-QEmbeddings compute_q_embeddings(const quant::QuantizedMlp& qmodel,
-                                 const data::Split& split,
-                                 std::span<const std::size_t> pool,
-                                 bool scaled, std::size_t batch_size) {
-  using tensor::Tensor;
+namespace {
+
+/// Score `pool` batch by batch: gather each batch's rows of `split`, run
+/// `forward` (batch -> logits + penultimate activation) and apply the
+/// shared per-batch embedding math.
+template <typename Forward>
+QEmbeddings score_batches(const data::Split& split,
+                          std::span<const std::size_t> pool, bool scaled,
+                          std::size_t batch_size, Forward&& forward) {
   const std::size_t n = pool.size();
   const std::size_t dim = split.dim();
   if (batch_size == 0) batch_size = std::max<std::size_t>(1, n);
   QEmbeddings out;
-  out.losses.resize(n);
   out.correct.resize(n);
-
-  nn::SoftmaxCrossEntropy loss_fn;
-  std::size_t classes = 0;
+  nn::EmbeddingResult emb;
   for (std::size_t start = 0; start < n; start += batch_size) {
     const std::size_t count = std::min(batch_size, n - start);
-    Tensor batch({count, dim});
+    tensor::Tensor batch({count, dim});
     std::vector<nn::Label> labels(count);
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t row = pool[start + i];
@@ -33,36 +32,18 @@ QEmbeddings compute_q_embeddings(const quant::QuantizedMlp& qmodel,
                   batch.data() + i * dim);
       labels[i] = split.labels[row];
     }
-    auto fwd = qmodel.forward_with_penultimate(batch);
-    if (classes == 0) {
-      classes = fwd.logits.cols();
-      out.embeddings = Tensor({n, classes});
-    }
-    auto loss = loss_fn.forward(fwd.logits, labels);
+    const auto fwd = forward(batch);
+    nn::embed_batch(fwd.logits, scaled ? &fwd.penultimate : nullptr, labels,
+                    start, n, emb);
     for (std::size_t i = 0; i < count; ++i) {
-      out.losses[start + i] = loss.example_losses[i];
-      float scale = 1.0f;
-      if (scaled) {
-        scale = std::max(tensor::l2_norm(fwd.penultimate.row(i)), 1e-6f);
-      }
-      const float* probs = loss.probs.data() + i * classes;
-      std::size_t argmax = 0;
-      for (std::size_t c = 1; c < classes; ++c) {
-        if (probs[c] > probs[argmax]) argmax = c;
-      }
-      out.correct[start + i] = static_cast<nn::Label>(argmax) == labels[i];
-      float* dst = out.embeddings.data() + (start + i) * classes;
-      for (std::size_t c = 0; c < classes; ++c) {
-        const float onehot =
-            static_cast<nn::Label>(c) == labels[i] ? 1.0f : 0.0f;
-        dst[c] = (probs[c] - onehot) * scale;
-      }
+      out.correct[start + i] =
+          static_cast<nn::Label>(emb.preds[start + i]) == labels[i];
     }
   }
+  out.embeddings = std::move(emb.embeddings);
+  out.losses = std::move(emb.losses);
   return out;
 }
-
-namespace {
 
 class QuantizedSelectionModel final : public SelectionModel {
  public:
@@ -97,54 +78,10 @@ class FloatSelectionModel final : public SelectionModel {
   QEmbeddings score(const data::Split& split,
                     std::span<const std::size_t> pool, bool scaled,
                     std::size_t batch_size) override {
-    using tensor::Tensor;
-    const std::size_t n = pool.size();
-    const std::size_t dim = split.dim();
-    if (batch_size == 0) batch_size = std::max<std::size_t>(1, n);
-    QEmbeddings out;
-    out.losses.resize(n);
-    out.correct.resize(n);
-
-    nn::SoftmaxCrossEntropy loss_fn;
-    std::size_t classes = 0;
-    for (std::size_t start = 0; start < n; start += batch_size) {
-      const std::size_t count = std::min(batch_size, n - start);
-      Tensor batch({count, dim});
-      std::vector<nn::Label> labels(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t row = pool[start + i];
-        std::copy_n(split.features.data() + row * dim, dim,
-                    batch.data() + i * dim);
-        labels[i] = split.labels[row];
-      }
-      auto fwd = nn::forward_with_penultimate(model_, batch);
-      if (classes == 0) {
-        classes = fwd.logits.cols();
-        out.embeddings = Tensor({n, classes});
-      }
-      auto loss = loss_fn.forward(fwd.logits, labels);
-      for (std::size_t i = 0; i < count; ++i) {
-        out.losses[start + i] = loss.example_losses[i];
-        float scale = 1.0f;
-        if (scaled) {
-          scale = std::max(tensor::l2_norm(fwd.penultimate.row(i)), 1e-6f);
-        }
-        const float* probs = loss.probs.data() + i * classes;
-        std::size_t argmax = 0;
-        for (std::size_t c = 1; c < classes; ++c) {
-          if (probs[c] > probs[argmax]) argmax = c;
-        }
-        out.correct[start + i] =
-            static_cast<nn::Label>(argmax) == labels[i];
-        float* dst = out.embeddings.data() + (start + i) * classes;
-        for (std::size_t c = 0; c < classes; ++c) {
-          const float onehot =
-              static_cast<nn::Label>(c) == labels[i] ? 1.0f : 0.0f;
-          dst[c] = (probs[c] - onehot) * scale;
-        }
-      }
-    }
-    return out;
+    return score_batches(split, pool, scaled, batch_size,
+                         [&](const tensor::Tensor& batch) {
+                           return nn::forward_with_penultimate(model_, batch);
+                         });
   }
 
   void refresh(const nn::Sequential& target) override {
@@ -162,6 +99,16 @@ class FloatSelectionModel final : public SelectionModel {
 };
 
 }  // namespace
+
+QEmbeddings compute_q_embeddings(const quant::QuantizedMlp& qmodel,
+                                 const data::Split& split,
+                                 std::span<const std::size_t> pool,
+                                 bool scaled, std::size_t batch_size) {
+  return score_batches(split, pool, scaled, batch_size,
+                       [&](const tensor::Tensor& batch) {
+                         return qmodel.forward_with_penultimate(batch);
+                       });
+}
 
 std::unique_ptr<SelectionModel> make_quantized_selection_model(
     const nn::Sequential& target) {

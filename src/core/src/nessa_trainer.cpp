@@ -9,406 +9,518 @@
 //      `drop_interval_epochs`; dynamic sizing shrinks the subset while the
 //      loss falls quickly.
 // FPGA selection for epoch t+1 overlaps GPU training of epoch t.
+//
+// Multi-SmartSSD NeSSA (paper §5 future work, built on GreeDi [42]) shares
+// every step but 3 and the pricing: the pool is sharded across D devices,
+// each runs the scan and a local facility-location round over its shard in
+// parallel, the local winners' int8 embeddings ship to a merge device that
+// re-selects k over the union, and the weights are broadcast back to all
+// devices. The per-device phase takes the max over devices; merge traffic
+// and the broadcast scale with D.
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 #include <optional>
+#include <utility>
 
+#include "epoch_loop.hpp"
 #include "nessa/ckpt/errors.hpp"
-#include "nessa/core/near_storage.hpp"
-#include "nessa/fault/crash.hpp"
-#include "nessa/fault/epoch_schedule.hpp"
-#include "nessa/core/pipeline.hpp"
-#include "nessa/tensor/ops.hpp"
 #include "nessa/core/train_utils.hpp"
-#include "nessa/nn/metrics.hpp"
-#include "nessa/nn/optimizer.hpp"
-#include "nessa/quant/qmodel.hpp"
+#include "nessa/fault/epoch_schedule.hpp"
 #include "nessa/selection/drivers.hpp"
+#include "nessa/selection/greedi.hpp"
 #include "nessa/telemetry/telemetry.hpp"
 #include "nessa/util/stats.hpp"
 #include "pipeline_common.hpp"
-#include "trainer_ckpt.hpp"
 
-namespace nessa::core::detail {
+namespace nessa::core {
 
-RunResult run_nessa(const PipelineInputs& inputs, const NessaConfig& config,
-                    smartssd::SmartSsdSystem& system) {
-  detail::check_inputs(inputs);
-  const data::Dataset& ds = *inputs.dataset;
-  const std::size_t n = ds.train_size();
+namespace {
 
-  util::Rng rng(inputs.train.seed);
-  auto model = detail::build_target_model(inputs, rng);
-  auto kernel = make_selection_model(model);
-  nn::Sgd sgd(inputs.train.sgd);
-  auto schedule = inputs.train.scale_lr_schedule
-                      ? nn::StepLrSchedule::paper_scaled(inputs.train.epochs)
-                      : nn::StepLrSchedule::paper_default();
+using detail::Subset;
+using detail::Trainer;
 
-  // Candidate pool (substrate indices); shrinks under subset biasing.
-  std::vector<std::size_t> pool = iota_indices(n);
-  LossHistory history(n, config.loss_window_epochs);
-  std::vector<bool> last_correct(n, false);
+/// The rows one selection pass may choose from.
+struct Candidates {
+  tensor::Tensor embeddings;
+  std::vector<std::int32_t> labels;
+  std::vector<std::size_t> indices;  ///< dataset rows, ascending
+  std::uint64_t chunk_fetches = 0;   ///< 0 on the monolithic scan
+};
 
-  double fraction = config.subset_fraction;
-  double prev_loss = -1.0;
-
-  const std::uint64_t sample_bytes = inputs.info.stored_bytes_per_sample;
-  const double ratio = detail::scale_ratio(inputs);
-  const std::uint64_t macs_per_sample = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             static_cast<double>(detail::paper_macs_per_sample(inputs)) *
-             config.selection_proxy_factor * kernel->mac_cost_factor()));
-  // Feedback bytes at paper scale: int8 payload for the quantized kernel,
-  // 4 bytes/param for the float fallback.
-  const double bytes_per_param =
-      static_cast<double>(kernel->payload_bytes()) /
-      static_cast<double>(std::max<std::size_t>(1, model.parameter_count()));
-  const auto paper_feedback_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(detail::paper_qweight_bytes(inputs)) *
-      std::max(1.0, bytes_per_param));
-
-  const smartssd::TrafficStats traffic0 = system.traffic();
-  auto perf = make_performance_model(inputs.perf_model);
-
-  // Epoch-granularity fault replay (see fault/epoch_schedule.hpp). The
-  // deadline decision needs a nominal (fault-free) FPGA-phase basis; the
-  // last reselect epoch's demand provides it, so the first selection can
-  // never be skipped as stale.
-  std::optional<fault::EpochSchedule> fault_schedule;
-  if (inputs.fault_plan.enabled() ||
-      inputs.fault_plan.selection_deadline_factor > 0.0) {
-    fault_schedule.emplace(inputs.fault_plan);
-  }
-  util::SimTime nominal_fpga_phase = 0;
-
-  // Chunk integrity (see data/integrity.hpp): with `corrupt` directives in
-  // the plan and a chunked scan, every fetch is CRC-verified and the
-  // plan's deterministic bit flips drive the re-fetch/quarantine path.
-  data::ChunkIntegrity chunk_integrity;
-  const bool use_integrity =
-      inputs.fault_plan.has_corruption() && inputs.train.chunk_samples > 0;
-  if (use_integrity) {
-    chunk_integrity.corruptor = data::corruptor_from_plan(inputs.fault_plan);
+/// NeSSA's cross-epoch state, shared by the single- and multi-device
+/// pipelines: the near-storage kernel and its weight feedback (§3.2.1), the
+/// candidate pool and loss history behind subset biasing (§3.2.2) and the
+/// subset fraction behind dynamic sizing.
+class NessaSelector : public detail::Selector {
+ public:
+  EpochCost end_epoch(Trainer& t, const EpochReport& report) override {
+    if (config_.weight_feedback) {
+      auto span = telemetry::wall_span("nessa-feedback", "core");
+      kernel_->refresh(t.model);
+    }
+    const smartssd::TrafficStats before = t.system.traffic();
+    const EpochCost cost = price(t, report);
+    t.result.interconnect_bytes +=
+        t.system.traffic().interconnect_bytes - before.interconnect_bytes;
+    t.result.p2p_bytes += t.system.traffic().p2p_bytes - before.p2p_bytes;
+    if (config_.subset_biasing && report.epoch + 1 < t.inputs.train.epochs &&
+        (report.epoch + 1) % config_.drop_interval_epochs == 0) {
+      drop_learned();
+    }
+    if (config_.dynamic_sizing) resize(report.train_loss);
+    return cost;
   }
 
-  selection::DriverConfig driver;
-  driver.greedy = config.greedy;
-  driver.stochastic_epsilon = config.stochastic_epsilon;
-  driver.per_class = true;
-  driver.partition_quota = config.partition_quota;
-  driver.parallelism = config.parallelism;
+  void save(const Trainer&, detail::TrainerSnapshot& snap) const override {
+    // NeSSA snapshots carry the traffic totals in the common section's
+    // traffic fields; the partial result's byte counters stay zero.
+    snap.common.traffic_interconnect =
+        std::exchange(snap.common.partial.interconnect_bytes, 0);
+    snap.common.traffic_p2p = std::exchange(snap.common.partial.p2p_bytes, 0);
+    snap.has_nessa = true;
+    detail::NessaCkpt& ns = snap.nessa;
+    ns.pool = pool_;
+    ns.history = history_.windows();
+    ns.last_correct.assign(last_correct_.begin(), last_correct_.end());
+    ns.fraction = fraction_;
+    ns.prev_loss = prev_loss_;
+  }
 
-  const std::size_t interval = std::max<std::size_t>(
-      1, config.selection_interval);
-  selection::CoresetResult coreset;
-
-  RunResult result;
-
-  // ---- checkpoint/restore (see trainer_ckpt.hpp) ----------------------
-  detail::CheckpointSession ckpt_session(
-      inputs.checkpoint, "nessa",
-      detail::run_fingerprint("nessa", inputs, config.subset_fraction));
-  std::size_t start_epoch = 0;
-  util::SimTime sim_elapsed = 0;
-  std::uint64_t base_interconnect = 0;
-  std::uint64_t base_p2p = 0;
-  if (auto snap = ckpt_session.restore()) {
-    if (!snap->has_nessa || snap->nessa.last_correct.size() != n ||
-        snap->nessa.history.size() != n) {
-      throw ckpt::SnapshotError(
-          ckpt::SnapshotFault::kBadPayload,
-          "snapshot does not match the nessa driver's dataset");
+  void restore(Trainer& t, detail::TrainerSnapshot& snap) override {
+    detail::NessaCkpt& ns = snap.nessa;
+    const auto reject = [](const std::string& why) {
+      throw ckpt::SnapshotError(ckpt::SnapshotFault::kBadPayload, why);
+    };
+    const auto out_of_range = [&](const std::vector<std::size_t>& ids) {
+      return std::any_of(ids.begin(), ids.end(),
+                         [&](std::size_t idx) { return idx >= n_; });
+    };
+    if (!snap.has_nessa || ns.last_correct.size() != n_ ||
+        ns.history.size() != n_) {
+      reject("snapshot does not match the " + tag + " driver's dataset");
     }
-    for (std::size_t idx : snap->nessa.pool) {
-      if (idx >= n) {
-        throw ckpt::SnapshotError(ckpt::SnapshotFault::kBadPayload,
-                                  "snapshot pool index out of range");
-      }
+    if (out_of_range(ns.pool)) reject("snapshot pool index out of range");
+    if (out_of_range(ns.coreset.indices)) {
+      reject("snapshot coreset index out of range");
     }
-    for (std::size_t idx : snap->nessa.coreset.indices) {
-      if (idx >= n) {
-        throw ckpt::SnapshotError(ckpt::SnapshotFault::kBadPayload,
-                                  "snapshot coreset index out of range");
-      }
-    }
-    detail::restore_common(snap->common, rng, model, sgd, result);
-    pool = std::move(snap->nessa.pool);
-    history.restore(std::move(snap->nessa.history));
-    for (std::size_t i = 0; i < n; ++i) {
-      last_correct[i] = snap->nessa.last_correct[i] != 0;
-    }
-    fraction = snap->nessa.fraction;
-    prev_loss = snap->nessa.prev_loss;
-    coreset = std::move(snap->nessa.coreset);
-    nominal_fpga_phase = snap->nessa.nominal_fpga_phase;
-    base_interconnect = snap->common.traffic_interconnect;
-    base_p2p = snap->common.traffic_p2p;
-    start_epoch = static_cast<std::size_t>(snap->next_epoch);
+    pool_ = std::move(ns.pool);
+    history_.restore(std::move(ns.history));
+    last_correct_.assign(ns.last_correct.begin(), ns.last_correct.end());
+    fraction_ = ns.fraction;
+    prev_loss_ = ns.prev_loss;
+    t.result.interconnect_bytes = snap.common.traffic_interconnect;
+    t.result.p2p_bytes = snap.common.traffic_p2p;
     // The kernel was built from the deterministic initial weights; bring it
     // to the checkpointed state exactly as the uninterrupted run did.
-    if (config.weight_feedback && start_epoch > 0) kernel->refresh(model);
-    for (const EpochReport& report : result.epochs) {
-      sim_elapsed += report.cost.total();
+    if (config_.weight_feedback && snap.next_epoch > 0) {
+      kernel_->refresh(t.model);
     }
   }
 
-  // Previous epoch's trained subset, for the selection-overlap telemetry.
-  // After a restore the carried coreset IS the last epoch's subset, so the
-  // resumed overlap matches the uninterrupted run.
-  std::vector<std::size_t> prev_subset = coreset.indices;
+ protected:
+  NessaSelector(const Trainer& t, const char* tag, const NessaConfig& config,
+                std::unique_ptr<SelectionModel> kernel, std::uint64_t extra)
+      : Selector(tag, config.subset_fraction, extra),
+        config_(config),
+        n_(t.inputs.dataset->train_size()),
+        kernel_(std::move(kernel)),
+        pool_(iota_indices(n_)),
+        macs_per_sample_(std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(
+                   static_cast<double>(static_cast<std::uint64_t>(
+                       t.inputs.model.paper_gflops_per_sample * 1e9 / 2.0)) *
+                   config.selection_proxy_factor *
+                   kernel_->mac_cost_factor()))),
+        qweight_bytes_(static_cast<std::uint64_t>(
+            t.inputs.model.paper_params_millions * 1e6)),
+        history_(n_, config.loss_window_epochs),
+        last_correct_(n_, false),
+        fraction_(config.subset_fraction) {
+    driver_.greedy = config.greedy;
+    driver_.stochastic_epsilon = config.stochastic_epsilon;
+    driver_.per_class = true;
+    driver_.partition_quota = config.partition_quota;
+    driver_.parallelism = config.parallelism;
+  }
 
-  for (std::size_t epoch = start_epoch; epoch < inputs.train.epochs;
-       ++epoch) {
-    fault::maybe_crash(inputs.fault_plan, epoch, sim_elapsed);
-    // The data visible this epoch: the static split, or the scenario
-    // stream's view when one is attached (non-stationary workloads).
-    const data::Dataset& eds = detail::epoch_data(inputs, epoch);
-    sgd.set_learning_rate(schedule.lr_at(epoch));
-    driver.seed = inputs.train.seed * 7919 + epoch;
+  /// Price the epoch at paper scale (before biasing shrinks the pool).
+  virtual EpochCost price(Trainer& t, const EpochReport& report) = 0;
 
-    const std::size_t k = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::round(fraction *
-                                               static_cast<double>(n))));
-    bool reselect = epoch % interval == 0 || coreset.indices.empty();
+  /// This epoch's subset size, from the current fraction.
+  std::size_t budget(const Trainer& t) {
+    return k_ = detail::subset_budget(t.inputs, fraction_);
+  }
+
+  /// Score the pool near storage, record each scored row's loss and
+  /// correctness, and return the rows selection may choose from. Rows in
+  /// quarantined chunks are never scored: history and selection see only
+  /// the surviving rows.
+  Candidates scan(Trainer& t, const data::Dataset& data,
+                  std::size_t chunk_samples = 0,
+                  const data::ChunkIntegrity* integrity = nullptr) {
+    auto scored = detail::score_pool(
+        *kernel_, data.train(), pool_, config_.scaled_embeddings,
+        t.inputs.train.batch_size, chunk_samples,
+        data.stored_bytes_per_sample(), integrity);
+    t.result.chunk_corruptions += scored.integrity.corruptions;
+    t.result.chunk_refetches += scored.integrity.refetches;
+    t.result.quarantined_chunks += scored.integrity.quarantined;
+
+    const auto excluded = [&](std::size_t i) {
+      return !scored.excluded.empty() && scored.excluded[i] != 0;
+    };
+    Candidates out;
+    out.chunk_fetches = scored.chunk_fetches;
+    out.indices.reserve(pool_.size());
+    out.labels.reserve(pool_.size());
+    for (std::size_t i = 0; i < pool_.size(); ++i) {
+      if (excluded(i)) continue;
+      history_.record(pool_[i], scored.emb.losses[i]);
+      last_correct_[pool_[i]] = scored.emb.correct[i];
+      out.indices.push_back(pool_[i]);
+      out.labels.push_back(data.train().labels[pool_[i]]);
+    }
+    if (out.indices.size() == pool_.size()) {
+      out.embeddings = std::move(scored.emb.embeddings);
+    } else if (!out.indices.empty()) {
+      const std::size_t classes = scored.emb.embeddings.cols();
+      out.embeddings = tensor::Tensor({out.indices.size(), classes});
+      float* dst = out.embeddings.data();
+      for (std::size_t i = 0; i < pool_.size(); ++i) {
+        if (excluded(i)) continue;
+        dst = std::copy_n(scored.emb.embeddings.data() + i * classes,
+                          classes, dst);
+      }
+    }
+    return out;
+  }
+
+  /// The epoch's training set: `indices` weighted by `weights`.
+  Subset subset(const std::vector<std::size_t>& indices,
+                const std::vector<std::size_t>& weights, bool fresh,
+                std::uint64_t chunk_fetches) {
+    weights_.assign(weights.begin(), weights.end());
+    return {indices, weights_, pool_.size(), fresh, chunk_fetches};
+  }
+
+  /// Paper-scale candidate pool.
+  [[nodiscard]] std::size_t paper_pool(const Trainer& t) const {
+    return detail::paper_count(t.inputs, static_cast<double>(pool_.size()) /
+                                             static_cast<double>(n_));
+  }
+
+  /// Substrate-to-paper rescaling of selection op counts: chunked
+  /// selection work grows linearly with pool size, monolithic
+  /// quadratically.
+  [[nodiscard]] double op_ratio(const Trainer& t) const {
+    const double ratio = detail::scale_ratio(t.inputs);
+    return config_.partition_quota > 0 ? ratio : ratio * ratio;
+  }
+
+  const NessaConfig config_;
+  const std::size_t n_;
+  std::unique_ptr<SelectionModel> kernel_;
+  /// Candidate pool (substrate indices, ascending); shrinks under biasing.
+  std::vector<std::size_t> pool_;
+  selection::DriverConfig driver_;
+  /// Paper-scale scoring MACs per sample: the paper network's int8
+  /// forward (~FLOPs / 2), scaled by the proxy and kernel cost factors.
+  const std::uint64_t macs_per_sample_;
+  /// One int8 weight refresh at paper scale (a byte per parameter).
+  const std::uint64_t qweight_bytes_;
+
+ private:
+  /// §3.2.2 subset biasing: drop learned samples — windowed mean loss at or
+  /// below the drop quantile and currently predicted correctly — keeping at
+  /// least min_pool_factor × k candidates.
+  void drop_learned() {
+    auto span = telemetry::wall_span("nessa-subset-biasing", "core");
+    std::vector<double> means(pool_.size());
+    for (std::size_t i = 0; i < pool_.size(); ++i) {
+      means[i] = history_.windowed_mean(pool_[i]);
+    }
+    const double threshold =
+        util::percentile_of(means, config_.drop_quantile * 100.0);
+    const std::size_t min_pool = std::max<std::size_t>(
+        k_, static_cast<std::size_t>(config_.min_pool_factor *
+                                     static_cast<double>(k_)));
+    std::vector<std::size_t> kept;
+    kept.reserve(pool_.size());
+    std::size_t dropped = 0;
+    const std::size_t max_drop =
+        pool_.size() > min_pool ? pool_.size() - min_pool : 0;
+    for (std::size_t i = 0; i < pool_.size(); ++i) {
+      const bool learned = means[i] <= threshold && last_correct_[pool_[i]];
+      if (learned && dropped < max_drop) {
+        ++dropped;
+      } else {
+        kept.push_back(pool_[i]);
+      }
+    }
+    pool_ = std::move(kept);
+  }
+
+  /// Contribution (4), dynamic subset sizing: shrink the fraction while the
+  /// loss falls faster than shrink_rate, grow it back when the loss rises.
+  void resize(double train_loss) {
+    if (prev_loss_ > 0.0 && train_loss > 0.0) {
+      const double drop = (prev_loss_ - train_loss) / prev_loss_;
+      if (drop > config_.shrink_rate) {
+        fraction_ = std::max(config_.min_subset_fraction,
+                             fraction_ * (1.0 - config_.shrink_step));
+      } else if (drop < 0.0) {
+        fraction_ = std::min(config_.subset_fraction,
+                             fraction_ / (1.0 - config_.shrink_step));
+      }
+    }
+    prev_loss_ = train_loss;
+  }
+
+  LossHistory history_;
+  std::vector<bool> last_correct_;
+  double fraction_;
+  double prev_loss_ = -1.0;
+  std::size_t k_ = 0;  ///< this epoch's budget, the biasing floor's basis
+  std::vector<double> weights_;
+};
+
+/// Single-device NeSSA: re-selects every `selection_interval` epochs, scans
+/// through the chunked interface, and degrades under the fault plan.
+class SingleDevice final : public NessaSelector {
+ public:
+  SingleDevice(const Trainer& t, const NessaConfig& config)
+      : NessaSelector(t, "nessa", config, make_selection_model(t.model), 0),
+        interval_(std::max<std::size_t>(1, config.selection_interval)) {
+    // Feedback bytes at paper scale: int8 payload for the quantized kernel,
+    // 4 bytes/param for the float fallback.
+    const double bytes_per_param =
+        static_cast<double>(kernel_->payload_bytes()) /
+        static_cast<double>(
+            std::max<std::size_t>(1, t.model.parameter_count()));
+    feedback_bytes_ = static_cast<std::uint64_t>(
+        static_cast<double>(qweight_bytes_) *
+        std::max(1.0, bytes_per_param));
+    // Epoch-granularity fault replay (see fault/epoch_schedule.hpp).
+    const fault::FaultPlan& plan = t.inputs.fault_plan;
+    if (plan.enabled() || plan.selection_deadline_factor > 0.0) {
+      faults_.emplace(plan);
+    }
+    // Chunk integrity (see data/integrity.hpp): with `corrupt` directives
+    // in the plan and a chunked scan, every fetch is CRC-verified and the
+    // plan's deterministic bit flips drive the re-fetch/quarantine path.
+    if (plan.has_corruption() && t.inputs.train.chunk_samples > 0) {
+      integrity_.emplace();
+      integrity_->corruptor = data::corruptor_from_plan(plan);
+    }
+  }
+
+  Subset select(Trainer& t, std::size_t epoch,
+                const data::Dataset& data) override {
+    driver_.seed = t.inputs.train.seed * 7919 + epoch;
+    const std::size_t k = budget(t);
+    reselect_ = epoch % interval_ == 0 || coreset_.indices.empty();
     // Degraded mode: an FPGA stall that blows the selection deadline means
     // this epoch trains on the carried-forward subset instead of waiting.
-    if (fault_schedule && reselect && !coreset.indices.empty() &&
-        nominal_fpga_phase > 0 &&
-        fault_schedule->selection_timeout(epoch, nominal_fpga_phase)) {
-      reselect = false;
-      ++result.fault_stale_epochs;
+    // The deadline needs a nominal (fault-free) FPGA-phase basis, which the
+    // last reselect epoch provides, so the first selection is never stale.
+    if (faults_ && reselect_ && !coreset_.indices.empty() &&
+        nominal_fpga_phase_ > 0 &&
+        faults_->selection_timeout(epoch, nominal_fpga_phase_)) {
+      reselect_ = false;
+      ++t.result.fault_stale_epochs;
       telemetry::count("fault.stale_epochs");
     }
     std::uint64_t chunk_fetches = 0;
-    if (reselect) {
-      // ---- near-storage selection pass (FPGA) -----------------------
-      // The scan pulls the pool through the chunked streaming interface;
+    if (reselect_) {
       // chunk_samples == 0 is the monolithic single-chunk fast path
       // (bit-identical to the pre-streaming scan, zero fetches charged).
       auto span = telemetry::wall_span("nessa-selection-pass", "core");
-      auto scored = detail::score_pool(
-          *kernel, eds.train(), pool, config.scaled_embeddings,
-          inputs.train.batch_size, inputs.train.chunk_samples,
-          eds.stored_bytes_per_sample(),
-          use_integrity ? &chunk_integrity : nullptr);
-      const auto& emb = scored.emb;
-      chunk_fetches = scored.chunk_fetches;
-      result.chunk_corruptions += scored.integrity.corruptions;
-      result.chunk_refetches += scored.integrity.refetches;
-      result.quarantined_chunks += scored.integrity.quarantined;
-      if (scored.excluded.empty()) {
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-          history.record(pool[i], emb.losses[i]);
-          last_correct[pool[i]] = emb.correct[i];
-        }
-        std::vector<std::int32_t> pool_labels(pool.size());
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-          pool_labels[i] = eds.train().labels[pool[i]];
-        }
-        coreset = selection::select_coreset(emb.embeddings, pool_labels, pool,
-                                            std::min(k, pool.size()), driver);
-      } else {
-        // Quarantined chunks drop their rows from this pass: history and
-        // selection see only the surviving rows — bad bytes are never
-        // scored. With every chunk quarantined the previous subset is
-        // carried forward (telemetry-visible staleness).
-        std::vector<std::size_t> kept;
-        kept.reserve(pool.size());
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-          if (scored.excluded[i] == 0) kept.push_back(i);
-        }
-        for (const std::size_t i : kept) {
-          history.record(pool[i], emb.losses[i]);
-          last_correct[pool[i]] = emb.correct[i];
-        }
-        if (!kept.empty()) {
-          const std::size_t classes =
-              emb.embeddings.rank() == 2 ? emb.embeddings.cols() : 0;
-          tensor::Tensor kept_emb({kept.size(), classes});
-          std::vector<std::int32_t> kept_labels(kept.size());
-          std::vector<std::size_t> kept_pool(kept.size());
-          for (std::size_t i = 0; i < kept.size(); ++i) {
-            const std::size_t src = kept[i];
-            kept_pool[i] = pool[src];
-            kept_labels[i] = eds.train().labels[pool[src]];
-            std::copy_n(emb.embeddings.data() + src * classes, classes,
-                        kept_emb.data() + i * classes);
-          }
-          coreset = selection::select_coreset(
-              kept_emb, kept_labels, kept_pool,
-              std::min(k, kept_pool.size()), driver);
-        } else if (!coreset.indices.empty()) {
-          ++result.fault_stale_epochs;
-          telemetry::count("fault.stale_epochs");
-        }
+      const Candidates c = scan(t, data, t.inputs.train.chunk_samples,
+                                integrity_ ? &*integrity_ : nullptr);
+      chunk_fetches = c.chunk_fetches;
+      if (!c.indices.empty()) {
+        coreset_ = selection::select_coreset(
+            c.embeddings, c.labels, c.indices, std::min(k, c.indices.size()),
+            driver_);
+      } else if (!coreset_.indices.empty()) {
+        // Every chunk quarantined: carry the subset forward, stale.
+        ++t.result.fault_stale_epochs;
+        telemetry::count("fault.stale_epochs");
       }
     }
+    return subset(coreset_.indices, coreset_.weights, reselect_,
+                  chunk_fetches);
+  }
 
-    // ---- GPU subset training ----------------------------------------
-    std::vector<double> weights(coreset.weights.begin(),
-                                coreset.weights.end());
-    EpochReport report;
-    report.epoch = epoch;
-    report.subset_size = coreset.indices.size();
-    report.pool_size = pool.size();
-    report.subset_fraction =
-        static_cast<double>(coreset.indices.size()) / static_cast<double>(n);
-    report.chunk_fetches = chunk_fetches;
-    report.selection_overlap =
-        (reselect && !prev_subset.empty())
-            ? detail::selection_overlap(coreset.indices, prev_subset)
-            : 1.0;  // first or carried subset: nothing turned over
-    report.class_mix = detail::stream_class_mix(inputs, epoch);
-    prev_subset = coreset.indices;
-    report.train_loss =
-        train_one_epoch(model, sgd, eds.train(), coreset.indices, weights,
-                        inputs.train.batch_size, rng);
-    report.test_accuracy =
-        nn::evaluate(model, eds.test().features, eds.test().labels).accuracy;
+  void save(const Trainer& t, detail::TrainerSnapshot& snap) const override {
+    NessaSelector::save(t, snap);
+    // The carried coreset is the overlap baseline; the common section's
+    // copy stays empty.
+    snap.common.prev_subset.clear();
+    snap.nessa.coreset = coreset_;
+    snap.nessa.nominal_fpga_phase = nominal_fpga_phase_;
+  }
 
-    // ---- feedback: quantized weights back to the FPGA (§3.2.1) ------
-    if (config.weight_feedback) {
-      auto span = telemetry::wall_span("nessa-feedback", "core");
-      kernel->refresh(model);
-    }
+  void restore(Trainer& t, detail::TrainerSnapshot& snap) override {
+    NessaSelector::restore(t, snap);
+    coreset_ = std::move(snap.nessa.coreset);
+    nominal_fpga_phase_ = snap.nessa.nominal_fpga_phase;
+    t.prev_subset = coreset_.indices;
+  }
 
-    // ---- paper-scale costing -----------------------------------------
-    const double pool_fraction =
-        static_cast<double>(pool.size()) / static_cast<double>(n);
-    const std::size_t paper_pool = detail::paper_count(inputs, pool_fraction);
-    const std::size_t paper_subset =
-        detail::paper_count(inputs, report.subset_fraction);
-
-    // Selection compute: quantized forwards over the pool + similarity and
-    // greedy ops. Substrate op counts are rescaled: chunked selection work
-    // grows linearly with pool size, monolithic quadratically.
-    const double op_ratio =
-        config.partition_quota > 0 ? ratio : ratio * ratio;
+ private:
+  EpochCost price(Trainer& t, const EpochReport& report) override {
+    const PipelineInputs& in = t.inputs;
+    const std::size_t pool = paper_pool(t);
     NessaEpochDemand demand;
-    demand.reselect = reselect;
-    demand.pool_records = paper_pool;
-    demand.subset_records = paper_subset;
-    demand.record_bytes = sample_bytes;
-    demand.forward_macs =
-        static_cast<std::uint64_t>(paper_pool) * macs_per_sample;
+    demand.reselect = reselect_;
+    demand.pool_records = pool;
+    demand.subset_records = detail::paper_count(in, report.subset_fraction);
+    demand.record_bytes = in.info.stored_bytes_per_sample;
+    demand.forward_macs = static_cast<std::uint64_t>(pool) * macs_per_sample_;
     demand.selection_ops = static_cast<std::uint64_t>(
-        static_cast<double>(coreset.similarity_ops + coreset.greedy_ops) *
-        op_ratio);
-    demand.train_gflops_per_sample = inputs.model.paper_gflops_per_sample;
-    demand.batch_size = inputs.train.batch_size;
-    demand.weight_feedback = config.weight_feedback;
-    demand.feedback_bytes = paper_feedback_bytes;
+        static_cast<double>(coreset_.similarity_ops + coreset_.greedy_ops) *
+        op_ratio(t));
+    demand.train_gflops_per_sample = in.model.paper_gflops_per_sample;
+    demand.batch_size = in.train.batch_size;
+    demand.weight_feedback = config_.weight_feedback;
+    demand.feedback_bytes = feedback_bytes_;
     // Chunk budget at paper scale: the substrate chunk size rescaled by the
     // dataset ratio. The event-driven model streams the scan as per-chunk
     // flash fetches instead of per-batch reads (flash-bus "chunk-fetch").
     demand.chunk_records =
-        inputs.train.chunk_samples > 0
+        in.train.chunk_samples > 0
             ? std::max<std::size_t>(
                   1, static_cast<std::size_t>(std::llround(
-                         static_cast<double>(inputs.train.chunk_samples) *
-                         ratio)))
+                         static_cast<double>(in.train.chunk_samples) *
+                         detail::scale_ratio(in))))
             : 0;
-    if (fault_schedule && reselect) {
-      if (fault_schedule->p2p_outage(epoch)) {
+    if (faults_ && reselect_) {
+      if (faults_->p2p_outage(report.epoch)) {
         demand.scan_via_host = true;
-        ++result.fault_fallback_epochs;
+        ++t.result.fault_fallback_epochs;
         telemetry::count("fault.fallback.host_path");
       }
-      demand.scan_slowdown = fault_schedule->scan_slowdown(epoch);
-      demand.selection_stall = fault_schedule->selection_stall(epoch);
+      demand.scan_slowdown = faults_->scan_slowdown(report.epoch);
+      demand.selection_stall = faults_->selection_stall(report.epoch);
     }
-    report.cost = perf->nessa_epoch(system, demand);
-    if (reselect) {
+    const EpochCost cost = t.perf->nessa_epoch(t.system, demand);
+    if (reselect_) {
       // Refresh the deadline basis with this epoch's fault-free FPGA
       // phase (const timing queries — no byte accounting).
-      nominal_fpga_phase =
-          system.flash().batch_read_time(paper_pool, sample_bytes) +
-          system.fpga_forward_time(demand.forward_macs) +
-          system.fpga_selection_time(demand.selection_ops);
+      nominal_fpga_phase_ =
+          t.system.flash().batch_read_time(pool, demand.record_bytes) +
+          t.system.fpga_forward_time(demand.forward_macs) +
+          t.system.fpga_selection_time(demand.selection_ops);
     }
-
-    // ---- §3.2.2 subset biasing: drop learned samples -----------------
-    if (config.subset_biasing && epoch + 1 < inputs.train.epochs &&
-        (epoch + 1) % config.drop_interval_epochs == 0) {
-      auto span = telemetry::wall_span("nessa-subset-biasing", "core");
-      std::vector<double> means(pool.size());
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        means[i] = history.windowed_mean(pool[i]);
-      }
-      const double threshold =
-          util::percentile_of(means, config.drop_quantile * 100.0);
-      const std::size_t min_pool = std::max<std::size_t>(
-          k, static_cast<std::size_t>(config.min_pool_factor *
-                                      static_cast<double>(k)));
-      std::vector<std::size_t> kept;
-      kept.reserve(pool.size());
-      std::size_t dropped = 0;
-      const std::size_t max_drop =
-          pool.size() > min_pool ? pool.size() - min_pool : 0;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        const bool learned = means[i] <= threshold && last_correct[pool[i]];
-        if (learned && dropped < max_drop) {
-          ++dropped;
-        } else {
-          kept.push_back(pool[i]);
-        }
-      }
-      pool = std::move(kept);
-    }
-
-    // ---- dynamic subset sizing (contribution 4) ----------------------
-    if (config.dynamic_sizing) {
-      if (prev_loss > 0.0 && report.train_loss > 0.0) {
-        const double drop = (prev_loss - report.train_loss) / prev_loss;
-        if (drop > config.shrink_rate) {
-          fraction = std::max(config.min_subset_fraction,
-                              fraction * (1.0 - config.shrink_step));
-        } else if (drop < 0.0) {
-          fraction = std::min(config.subset_fraction,
-                              fraction / (1.0 - config.shrink_step));
-        }
-      }
-      prev_loss = report.train_loss;
-    }
-
-    sim_elapsed += report.cost.total();
-    result.epochs.push_back(std::move(report));
-    telemetry::count("core.epochs");
-
-    if (ckpt_session.due(epoch + 1)) {
-      detail::TrainerSnapshot snap;
-      snap.next_epoch = epoch + 1;
-      snap.common = detail::capture_common(rng, model, sgd, result);
-      snap.common.traffic_interconnect =
-          base_interconnect +
-          (system.traffic().interconnect_bytes - traffic0.interconnect_bytes);
-      snap.common.traffic_p2p =
-          base_p2p + (system.traffic().p2p_bytes - traffic0.p2p_bytes);
-      snap.has_nessa = true;
-      snap.nessa.pool = pool;
-      snap.nessa.history = history.windows();
-      snap.nessa.last_correct.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        snap.nessa.last_correct[i] = last_correct[i] ? 1 : 0;
-      }
-      snap.nessa.fraction = fraction;
-      snap.nessa.prev_loss = prev_loss;
-      snap.nessa.coreset = coreset;
-      snap.nessa.nominal_fpga_phase = nominal_fpga_phase;
-      ckpt_session.save(std::move(snap));
-    }
+    return cost;
   }
 
-  result.interconnect_bytes =
-      base_interconnect +
-      (system.traffic().interconnect_bytes - traffic0.interconnect_bytes);
-  result.p2p_bytes =
-      base_p2p + (system.traffic().p2p_bytes - traffic0.p2p_bytes);
-  result.finalize();
-  return result;
+  const std::size_t interval_;
+  std::uint64_t feedback_bytes_ = 0;
+  std::optional<fault::EpochSchedule> faults_;
+  std::optional<data::ChunkIntegrity> integrity_;
+  selection::CoresetResult coreset_;  ///< carried forward between selections
+  util::SimTime nominal_fpga_phase_ = 0;  ///< selection-deadline basis
+  bool reselect_ = true;
+};
+
+/// Multi-SmartSSD NeSSA: reselects every epoch with two-round GreeDi over
+/// the int8 kernel's embeddings; monolithic scan, no fault replay.
+class MultiDevice final : public NessaSelector {
+ public:
+  MultiDevice(const Trainer& t, const NessaConfig& config,
+              std::size_t devices)
+      : NessaSelector(t, "multi", config,
+                      make_quantized_selection_model(t.model), devices),
+        devices_(devices) {
+    if (devices == 0) {
+      throw std::invalid_argument("run_nessa_multi: need at least one device");
+    }
+    greedi_.num_partitions = devices;
+  }
+
+  Subset select(Trainer& t, std::size_t epoch,
+                const data::Dataset& data) override {
+    driver_.seed = t.inputs.train.seed * 6151 + epoch;
+    greedi_.driver = driver_;
+    auto span = telemetry::wall_span("nessa-selection-pass", "core");
+    const Candidates c = scan(t, data);
+    selected_ = selection::greedi_select(
+        c.embeddings, c.labels, c.indices,
+        std::min(budget(t), c.indices.size()), greedi_);
+    return subset(selected_.indices, selected_.weights, true, 0);
+  }
+
+ private:
+  EpochCost price(Trainer& t, const EpochReport& report) override {
+    const PipelineInputs& in = t.inputs;
+    const double ratio = detail::scale_ratio(in);
+    const std::size_t pool = paper_pool(t);
+    const std::size_t shard = (pool + devices_ - 1) / devices_;
+    // Local phase: quantized forwards + the slowest device's local greedy.
+    std::uint64_t worst_local_ops = 0;
+    for (const auto& local : selected_.local) {
+      worst_local_ops =
+          std::max(worst_local_ops, local.similarity_ops + local.greedy_ops);
+    }
+    // Merge: local winners' int8 embeddings + ids cross the interconnect
+    // to the merge device, which re-selects over the union.
+    const std::size_t paper_union = std::min<std::size_t>(
+        pool, static_cast<std::size_t>(
+                  static_cast<double>(selected_.union_size) * ratio));
+    const double merge_scale =
+        selected_.union_size > 0
+            ? std::pow(static_cast<double>(paper_union) /
+                           static_cast<double>(selected_.union_size),
+                       2.0)
+            : 0.0;
+
+    MultiEpochDemand demand;
+    demand.devices = devices_;
+    demand.shard_records = shard;
+    demand.subset_records = detail::paper_count(in, report.subset_fraction);
+    demand.record_bytes = in.info.stored_bytes_per_sample;
+    demand.shard_forward_macs =
+        static_cast<std::uint64_t>(shard) * macs_per_sample_;
+    demand.local_selection_ops = static_cast<std::uint64_t>(
+        static_cast<double>(worst_local_ops) * op_ratio(t));
+    demand.merge_union_bytes =
+        static_cast<std::uint64_t>(paper_union) *
+        (in.dataset->num_classes() + sizeof(std::uint64_t));
+    demand.merge_ops = static_cast<std::uint64_t>(
+        static_cast<double>(selected_.merge.similarity_ops +
+                            selected_.merge.greedy_ops) *
+        merge_scale);
+    demand.train_gflops_per_sample = in.model.paper_gflops_per_sample;
+    demand.batch_size = in.train.batch_size;
+    demand.feedback_bytes_per_device =
+        config_.weight_feedback ? qweight_bytes_ : 0;
+    return t.perf->multi_epoch(t.system, demand);
+  }
+
+  const std::size_t devices_;
+  selection::GreediConfig greedi_;
+  selection::GreediResult selected_;
+};
+
+}  // namespace
+
+namespace detail {
+
+RunResult run_nessa(const PipelineInputs& inputs, const NessaConfig& config,
+                    smartssd::SmartSsdSystem& system) {
+  return run_pipeline<SingleDevice>(inputs, system, config);
 }
 
-}  // namespace nessa::core::detail
+}  // namespace detail
+
+RunResult run_nessa_multi(const PipelineInputs& inputs,
+                          const NessaConfig& config,
+                          const MultiDeviceConfig& multi,
+                          smartssd::SmartSsdSystem& system) {
+  return detail::run_pipeline<MultiDevice>(inputs, system, config,
+                                           multi.devices);
+}
+
+}  // namespace nessa::core

@@ -2,76 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <unordered_set>
 
 #include "nessa/data/chunked.hpp"
 
-namespace nessa::core {
-
-void RunResult::finalize() {
-  if (epochs.empty()) return;
-  final_accuracy = epochs.back().test_accuracy;
-  best_accuracy = 0.0;
-  double frac_sum = 0.0;
-  total_time = 0;
-  for (const auto& e : epochs) {
-    best_accuracy = std::max(best_accuracy, e.test_accuracy);
-    frac_sum += e.subset_fraction;
-    total_time += e.cost.total();
-  }
-  mean_subset_fraction = frac_sum / static_cast<double>(epochs.size());
-  // Round to the nearest picosecond instead of truncating toward zero —
-  // at a few epochs the truncation error is a visible fraction of a tick.
-  const auto n = static_cast<SimTime>(epochs.size());
-  mean_epoch_time = (total_time + n / 2) / n;
-}
-
-namespace detail {
-
-void check_inputs(const PipelineInputs& inputs) {
-  if (inputs.dataset == nullptr) {
-    throw std::invalid_argument("pipeline: dataset is required");
-  }
-  if (inputs.train.epochs == 0 || inputs.train.batch_size == 0) {
-    throw std::invalid_argument("pipeline: epochs and batch_size must be > 0");
-  }
-  if (inputs.info.paper_train_size == 0 ||
-      inputs.info.stored_bytes_per_sample == 0) {
-    throw std::invalid_argument("pipeline: paper-scale metadata is required");
-  }
-  if (inputs.stream != nullptr && inputs.dataset != &inputs.stream->base()) {
-    throw std::invalid_argument(
-        "pipeline: with a scenario stream, dataset must be &stream->base()");
-  }
-}
-
-const data::Dataset& epoch_data(const PipelineInputs& inputs,
-                                std::size_t epoch) {
-  return inputs.stream != nullptr ? inputs.stream->at(epoch)
-                                  : *inputs.dataset;
-}
-
-double selection_overlap(std::span<const std::size_t> current,
-                         std::span<const std::size_t> previous) {
-  if (current.empty()) return 1.0;
-  std::unordered_set<std::size_t> prev(previous.begin(), previous.end());
-  std::size_t shared = 0;
-  for (const std::size_t idx : current) shared += prev.count(idx);
-  return static_cast<double>(shared) / static_cast<double>(current.size());
-}
-
-std::vector<std::uint32_t> stream_class_mix(const PipelineInputs& inputs,
-                                            std::size_t epoch) {
-  std::vector<std::uint32_t> mix;
-  if (inputs.stream == nullptr) return mix;
-  const auto histogram = inputs.stream->class_histogram(epoch);
-  mix.reserve(histogram.size());
-  for (const std::size_t count : histogram) {
-    mix.push_back(static_cast<std::uint32_t>(count));
-  }
-  return mix;
-}
+namespace nessa::core::detail {
 
 ChunkedScore score_pool(SelectionModel& kernel, const data::Split& split,
                         std::span<const std::size_t> pool, bool scaled,
@@ -165,6 +99,12 @@ ChunkedScore score_pool(SelectionModel& kernel, const data::Split& split,
   return out;
 }
 
+std::size_t subset_budget(const PipelineInputs& inputs, double fraction) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::round(
+             fraction * static_cast<double>(inputs.dataset->train_size()))));
+}
+
 double scale_ratio(const PipelineInputs& inputs) {
   return static_cast<double>(inputs.info.paper_train_size) /
          static_cast<double>(inputs.dataset->train_size());
@@ -177,21 +117,4 @@ std::size_t paper_count(const PipelineInputs& inputs, double fraction) {
                  static_cast<double>(inputs.info.paper_train_size)));
 }
 
-std::uint64_t paper_macs_per_sample(const PipelineInputs& inputs) {
-  return static_cast<std::uint64_t>(
-      inputs.model.paper_gflops_per_sample * 1e9 / 2.0);
-}
-
-std::uint64_t paper_qweight_bytes(const PipelineInputs& inputs) {
-  return static_cast<std::uint64_t>(inputs.model.paper_params_millions * 1e6);
-}
-
-nn::Sequential build_target_model(const PipelineInputs& inputs,
-                                  util::Rng& rng) {
-  if (inputs.model_factory) return inputs.model_factory(rng);
-  return nn::build_model(inputs.model, inputs.dataset->feature_dim(),
-                         inputs.dataset->num_classes(), rng);
-}
-
-}  // namespace detail
-}  // namespace nessa::core
+}  // namespace nessa::core::detail

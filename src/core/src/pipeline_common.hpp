@@ -11,25 +11,6 @@
 
 namespace nessa::core::detail {
 
-/// Validate required pipeline inputs; throws std::invalid_argument.
-void check_inputs(const PipelineInputs& inputs);
-
-/// Training data visible at `epoch`: the scenario stream's view when one is
-/// attached, else the static dataset. Every run driver's epoch loop goes
-/// through this, so non-stationary workloads thread through all pipelines.
-const data::Dataset& epoch_data(const PipelineInputs& inputs,
-                                std::size_t epoch);
-
-/// |current ∩ previous| / |current| — the per-epoch selection-overlap
-/// telemetry (1.0 when current is empty, i.e. nothing to turn over).
-double selection_overlap(std::span<const std::size_t> current,
-                         std::span<const std::size_t> previous);
-
-/// Per-class histogram of the epoch's visible pool for scenario-stream
-/// runs; empty when no stream is attached.
-std::vector<std::uint32_t> stream_class_mix(const PipelineInputs& inputs,
-                                            std::size_t epoch);
-
 /// A selection scan routed through the chunked streaming interface.
 struct ChunkedScore {
   QEmbeddings emb;
@@ -61,21 +42,13 @@ ChunkedScore score_pool(SelectionModel& kernel, const data::Split& split,
                         std::size_t stored_bytes_per_sample,
                         const data::ChunkIntegrity* integrity = nullptr);
 
+/// Substrate subset size for a fraction of the training set (at least 1).
+std::size_t subset_budget(const PipelineInputs& inputs, double fraction);
+
 /// Substrate-to-paper scale ratio (paper train size / substrate train size).
 double scale_ratio(const PipelineInputs& inputs);
 
 /// Paper-scale sample count corresponding to a substrate fraction.
 std::size_t paper_count(const PipelineInputs& inputs, double fraction);
-
-/// Int8 MACs per sample of the paper network's forward pass (~FLOPs / 2).
-std::uint64_t paper_macs_per_sample(const PipelineInputs& inputs);
-
-/// Bytes of one quantized weight refresh at paper scale (int8 per param).
-std::uint64_t paper_qweight_bytes(const PipelineInputs& inputs);
-
-/// The substrate target model: the custom factory when provided, else the
-/// spec's MLP.
-nn::Sequential build_target_model(const PipelineInputs& inputs,
-                                  util::Rng& rng);
 
 }  // namespace nessa::core::detail

@@ -1,11 +1,8 @@
 #include "trainer_ckpt.hpp"
 
-#include <sstream>
 #include <utility>
 
 #include "nessa/ckpt/buffer.hpp"
-#include "nessa/nn/dropout.hpp"
-#include "nessa/nn/serialize.hpp"
 #include "nessa/telemetry/telemetry.hpp"
 
 namespace nessa::core::detail {
@@ -61,6 +58,9 @@ void put_result(ckpt::BufWriter& w, const RunResult& result) {
   w.u64(result.p2p_bytes);
   w.u64(result.fault_fallback_epochs);
   w.u64(result.fault_stale_epochs);
+  w.u64(result.chunk_corruptions);
+  w.u64(result.chunk_refetches);
+  w.u64(result.quarantined_chunks);
 }
 
 RunResult get_result(ckpt::BufReader& r) {
@@ -95,6 +95,9 @@ RunResult get_result(ckpt::BufReader& r) {
   result.p2p_bytes = r.u64();
   result.fault_fallback_epochs = r.u64();
   result.fault_stale_epochs = r.u64();
+  result.chunk_corruptions = r.u64();
+  result.chunk_refetches = r.u64();
+  result.quarantined_chunks = r.u64();
   return result;
 }
 
@@ -222,63 +225,6 @@ std::uint64_t run_fingerprint(std::string_view tag,
   h = mix(h, inputs.train.chunk_samples);
   h = mix(h, inputs.stream != nullptr ? inputs.stream->fingerprint() : 0);
   return h;
-}
-
-CommonCkpt capture_common(const util::Rng& rng, nn::Sequential& model,
-                          const nn::Sgd& sgd, const RunResult& partial) {
-  CommonCkpt common;
-  common.rng = rng.state();
-  std::ostringstream blob(std::ios::binary);
-  nn::save_weights(model, blob);
-  const std::string bytes = blob.str();
-  common.model_blob.assign(bytes.begin(), bytes.end());
-  common.velocities = sgd.export_velocities(model.params());
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (auto* dropout = dynamic_cast<nn::Dropout*>(&model.layer(i))) {
-      common.dropout_rngs.push_back(dropout->rng().state());
-    }
-  }
-  common.partial = partial;
-  return common;
-}
-
-void restore_common(const CommonCkpt& common, util::Rng& rng,
-                    nn::Sequential& model, nn::Sgd& sgd, RunResult& partial) {
-  rng.set_state(common.rng);
-  std::istringstream blob(
-      std::string(common.model_blob.begin(), common.model_blob.end()),
-      std::ios::binary);
-  try {
-    nn::load_weights(model, blob);
-  } catch (const std::runtime_error& err) {
-    throw ckpt::SnapshotError(
-        ckpt::SnapshotFault::kBadPayload,
-        std::string("snapshot model weights do not load: ") + err.what());
-  }
-  try {
-    sgd.import_velocities(model.params(), common.velocities);
-  } catch (const std::exception& err) {
-    throw ckpt::SnapshotError(
-        ckpt::SnapshotFault::kBadPayload,
-        std::string("snapshot velocities do not import: ") + err.what());
-  }
-  std::size_t next_dropout = 0;
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (auto* dropout = dynamic_cast<nn::Dropout*>(&model.layer(i))) {
-      if (next_dropout >= common.dropout_rngs.size()) {
-        throw ckpt::SnapshotError(
-            ckpt::SnapshotFault::kBadPayload,
-            "snapshot holds fewer dropout rng states than the model");
-      }
-      dropout->rng().set_state(common.dropout_rngs[next_dropout++]);
-    }
-  }
-  if (next_dropout != common.dropout_rngs.size()) {
-    throw ckpt::SnapshotError(
-        ckpt::SnapshotFault::kBadPayload,
-        "snapshot holds more dropout rng states than the model");
-  }
-  partial = common.partial;
 }
 
 CheckpointSession::CheckpointSession(const ckpt::CheckpointConfig& config,

@@ -39,13 +39,12 @@ struct CommonCkpt {
   std::vector<std::vector<float>> velocities;  ///< SGD slots, params order
   std::vector<util::Rng::State> dropout_rngs;  ///< Dropout layers, model order
   RunResult partial;                           ///< completed epochs + counters
-  /// Simulated-traffic deltas accumulated so far (drivers that derive their
-  /// byte totals from system.traffic() at the end of the run; zero for
-  /// drivers that accumulate into RunResult directly).
+  /// Byte totals so far of the NeSSA-family drivers, whose `partial` keeps
+  /// zero byte counters; zero for the other drivers.
   std::uint64_t traffic_interconnect = 0;
   std::uint64_t traffic_p2p = 0;
-  /// The last subset the driver trained on, for the per-epoch selection-
-  /// overlap telemetry; empty for drivers that train on everything.
+  /// The selection-overlap baseline (empty for full-data drivers and for
+  /// NeSSA, whose carried coreset holds it).
   std::vector<std::size_t> prev_subset;
 };
 
@@ -83,17 +82,6 @@ struct TrainerSnapshot {
                                             double knob = 0.0,
                                             std::uint64_t extra = 0);
 
-/// Capture / restore the common state. `restore_common` overwrites the
-/// model weights, SGD velocities, the RNG streams (trainer + dropout
-/// layers) and the partial RunResult; the model must already have the
-/// matching architecture (it is rebuilt deterministically from the seed).
-[[nodiscard]] CommonCkpt capture_common(const util::Rng& rng,
-                                        nn::Sequential& model,
-                                        const nn::Sgd& sgd,
-                                        const RunResult& partial);
-void restore_common(const CommonCkpt& common, util::Rng& rng,
-                    nn::Sequential& model, nn::Sgd& sgd, RunResult& partial);
-
 /// One driver's view of the checkpoint config: owns the Writer (creating
 /// the directory eagerly when enabled), performs the resume handshake, and
 /// encodes/writes snapshots on the configured cadence.
@@ -121,66 +109,6 @@ class CheckpointSession {
   std::string tag_;
   std::uint64_t fingerprint_ = 0;
   std::optional<ckpt::Writer> writer_;
-};
-
-/// Convenience wrapper for drivers whose cross-epoch state is exactly the
-/// common section (model, optimizer, rng stream, partial result): performs
-/// the resume handshake at construction and writes due snapshots per epoch.
-/// Drivers with extra state (the NeSSA family) wire the session directly.
-class CommonCheckpointHook {
- public:
-  /// `prev_subset`, when given, is captured into / restored from each
-  /// snapshot so the selection-overlap telemetry survives resume. It must
-  /// outlive the hook (declare it before constructing the hook).
-  CommonCheckpointHook(const PipelineInputs& inputs, const char* tag,
-                       double knob, util::Rng& rng, nn::Sequential& model,
-                       nn::Sgd& sgd, RunResult& result,
-                       std::vector<std::size_t>* prev_subset = nullptr)
-      : session_(inputs.checkpoint, tag, run_fingerprint(tag, inputs, knob)),
-        rng_(rng),
-        model_(model),
-        sgd_(sgd),
-        result_(result),
-        prev_subset_(prev_subset) {
-    if (auto snap = session_.restore()) {
-      restore_common(snap->common, rng_, model_, sgd_, result_);
-      if (prev_subset_ != nullptr) {
-        *prev_subset_ = std::move(snap->common.prev_subset);
-      }
-      start_epoch_ = static_cast<std::size_t>(snap->next_epoch);
-      for (const EpochReport& report : result_.epochs) {
-        sim_elapsed_ += report.cost.total();
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t start_epoch() const noexcept {
-    return start_epoch_;
-  }
-  [[nodiscard]] util::SimTime sim_elapsed() const noexcept {
-    return sim_elapsed_;
-  }
-
-  /// Call at the end of each epoch body, after the report was pushed.
-  void epoch_done(std::size_t epoch) {
-    sim_elapsed_ += result_.epochs.back().cost.total();
-    if (!session_.due(epoch + 1)) return;
-    TrainerSnapshot snap;
-    snap.next_epoch = epoch + 1;
-    snap.common = capture_common(rng_, model_, sgd_, result_);
-    if (prev_subset_ != nullptr) snap.common.prev_subset = *prev_subset_;
-    session_.save(std::move(snap));
-  }
-
- private:
-  CheckpointSession session_;
-  util::Rng& rng_;
-  nn::Sequential& model_;
-  nn::Sgd& sgd_;
-  RunResult& result_;
-  std::vector<std::size_t>* prev_subset_ = nullptr;
-  std::size_t start_epoch_ = 0;
-  util::SimTime sim_elapsed_ = 0;
 };
 
 }  // namespace nessa::core::detail

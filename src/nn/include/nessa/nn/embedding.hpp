@@ -35,6 +35,17 @@ EmbeddingResult compute_embeddings(Sequential& model, const Tensor& inputs,
                                    EmbeddingKind kind,
                                    std::size_t batch_size = 256);
 
+/// The per-batch math every gradient-embedding scorer shares
+/// (compute_embeddings, and core's int8 selection kernel and its float
+/// fallback): softmax cross-entropy over one batch's `logits`, then per
+/// row its loss, its argmax prediction and g = (p - onehot(y)) * s, where
+/// s = max(||row of `penultimate`||, 1e-6) when `penultimate` is given and
+/// 1 otherwise. Batch row i lands at row `offset + i` of `out`; the first
+/// call sizes `out` for `total` rows.
+void embed_batch(const Tensor& logits, const Tensor* penultimate,
+                 std::span<const Label> labels, std::size_t offset,
+                 std::size_t total, EmbeddingResult& out);
+
 /// Forward pass that also captures the activation entering the last
 /// parameterized (Dense) layer. Used by the scaled embedding and tested
 /// directly.

@@ -32,6 +32,33 @@ PenultimateForward forward_with_penultimate(Sequential& model,
   return out;
 }
 
+void embed_batch(const Tensor& logits, const Tensor* penultimate,
+                 std::span<const Label> labels, std::size_t offset,
+                 std::size_t total, EmbeddingResult& out) {
+  const std::size_t classes = logits.cols();
+  if (out.embeddings.rank() == 0) {
+    out.embeddings = Tensor({total, classes});
+    out.losses.resize(total);
+    out.preds.resize(total);
+  }
+  const auto loss = SoftmaxCrossEntropy{}.forward(logits, labels);
+  const auto preds = tensor::argmax_rows(loss.probs);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    out.losses[offset + i] = loss.example_losses[i];
+    out.preds[offset + i] = preds[i];
+    float scale = 1.0f;
+    if (penultimate != nullptr) {
+      scale = std::max(tensor::l2_norm(penultimate->row(i)), 1e-6f);
+    }
+    const float* probs = loss.probs.data() + i * classes;
+    float* dst = out.embeddings.data() + (offset + i) * classes;
+    for (std::size_t c = 0; c < classes; ++c) {
+      const float onehot = (static_cast<Label>(c) == labels[i]) ? 1.0f : 0.0f;
+      dst[c] = (probs[c] - onehot) * scale;
+    }
+  }
+}
+
 EmbeddingResult compute_embeddings(Sequential& model, const Tensor& inputs,
                                    std::span<const Label> labels,
                                    EmbeddingKind kind, std::size_t batch_size) {
@@ -45,48 +72,19 @@ EmbeddingResult compute_embeddings(Sequential& model, const Tensor& inputs,
   }
   if (batch_size == 0) batch_size = n;
 
-  SoftmaxCrossEntropy loss_fn;
   EmbeddingResult result;
-  result.losses.resize(n);
-  result.preds.resize(n);
-
-  std::size_t classes = 0;
   for (std::size_t start = 0; start < n; start += batch_size) {
     const std::size_t count = std::min(batch_size, n - start);
     Tensor batch({count, dim});
     std::copy_n(inputs.data() + start * dim, count * dim, batch.data());
-
-    Tensor logits;
-    Tensor penultimate;
+    const auto batch_labels = labels.subspan(start, count);
     if (kind == EmbeddingKind::kScaledLogitGrad) {
-      auto fwd = forward_with_penultimate(model, batch);
-      logits = std::move(fwd.logits);
-      penultimate = std::move(fwd.penultimate);
+      const auto fwd = forward_with_penultimate(model, batch);
+      embed_batch(fwd.logits, &fwd.penultimate, batch_labels, start, n,
+                  result);
     } else {
-      logits = model.forward(batch, /*train=*/false);
-    }
-    if (classes == 0) {
-      classes = logits.cols();
-      result.embeddings = Tensor({n, classes});
-    }
-
-    auto loss = loss_fn.forward(logits, labels.subspan(start, count));
-    auto preds = tensor::argmax_rows(loss.probs);
-    for (std::size_t i = 0; i < count; ++i) {
-      result.losses[start + i] = loss.example_losses[i];
-      result.preds[start + i] = preds[i];
-      float scale = 1.0f;
-      if (kind == EmbeddingKind::kScaledLogitGrad) {
-        scale = tensor::l2_norm(penultimate.row(i));
-        scale = std::max(scale, 1e-6f);
-      }
-      const Label y = labels[start + i];
-      float* dst = result.embeddings.data() + (start + i) * classes;
-      const float* probs = loss.probs.data() + i * classes;
-      for (std::size_t c = 0; c < classes; ++c) {
-        const float onehot = (static_cast<Label>(c) == y) ? 1.0f : 0.0f;
-        dst[c] = (probs[c] - onehot) * scale;
-      }
+      embed_batch(model.forward(batch, /*train=*/false), nullptr,
+                  batch_labels, start, n, result);
     }
   }
   return result;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,9 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.p2p_bytes, b.p2p_bytes);
   EXPECT_EQ(a.fault_fallback_epochs, b.fault_fallback_epochs);
   EXPECT_EQ(a.fault_stale_epochs, b.fault_stale_epochs);
+  EXPECT_EQ(a.chunk_corruptions, b.chunk_corruptions);
+  EXPECT_EQ(a.chunk_refetches, b.chunk_refetches);
+  EXPECT_EQ(a.quarantined_chunks, b.quarantined_chunks);
 }
 
 using Driver = RunResult (*)(const PipelineInputs&,
@@ -179,6 +183,24 @@ TEST(Killpoint, StreamedChunkedRunResumesBitIdenticalFromEveryEpoch) {
   for (std::size_t k = 1; k < kEpochs; ++k) {
     SCOPED_TRACE("crash at epoch " + std::to_string(k));
     const auto dir = fresh_dir("stream_k" + std::to_string(k));
+    expect_identical(crash_and_resume(&drive_nessa, base, dir, k), golden);
+  }
+}
+
+TEST(Killpoint, CorruptingChunkedRunResumesItsIntegrityCounters) {
+  // Sticky corruption re-quarantines on every selection pass, so the
+  // integrity counters grow each epoch; a resumed run must carry the
+  // epochs before the kill point instead of counting only its own.
+  PipelineInputs base = make_inputs();
+  base.train.chunk_samples = 50;
+  std::istringstream plan("corrupt rate=0.3 sticky=1\n");
+  base.fault_plan = fault::FaultPlan::from_stream(plan);
+  smartssd::SmartSsdSystem golden_sys;
+  const RunResult golden = drive_nessa(base, golden_sys);
+  ASSERT_GT(golden.quarantined_chunks, 0u);
+  for (std::size_t k = 1; k < kEpochs; ++k) {
+    SCOPED_TRACE("crash at epoch " + std::to_string(k));
+    const auto dir = fresh_dir("corrupt_k" + std::to_string(k));
     expect_identical(crash_and_resume(&drive_nessa, base, dir, k), golden);
   }
 }

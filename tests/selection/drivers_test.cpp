@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "nessa/util/rng.hpp"
@@ -222,6 +223,17 @@ struct SweepParam {
   std::size_t quota;
   GreedyKind greedy;
 };
+
+// Names each case (e.g. PerClass_Q4_Lazy) instead of letting gtest dump
+// the struct's bytes, whose padding is uninitialized: gtest_discover_tests
+// builds the ctest ID from this, so the IDs stay the same across builds.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  const char* greedy = param.greedy == GreedyKind::kLazy    ? "Lazy"
+                       : param.greedy == GreedyKind::kNaive ? "Naive"
+                                                            : "Stochastic";
+  *os << (param.per_class ? "PerClass" : "Global") << "_Q" << param.quota
+      << "_" << greedy;
+}
 
 class DriverSweep : public ::testing::TestWithParam<SweepParam> {};
 

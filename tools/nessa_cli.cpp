@@ -40,12 +40,15 @@
 // Exit codes: 0 success, 1 usage/config error (including --resume with no
 // valid snapshot), 3 run terminated by an injected crash kill point.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "nessa/ckpt/errors.hpp"
 #include "nessa/core/energy.hpp"
@@ -107,6 +110,23 @@ void print_usage() {
 
 enum class ParseResult { kRun, kHelp, kError };
 
+/// Strict numeric flag value: the whole token must parse, counts take no
+/// sign and must fit their type, reals must be finite.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  bool ok = ec == std::errc{} && ptr == end && text != end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) {
+    std::cerr << "config error: " << flag << ": '" << text << "' is not a "
+              << (std::is_floating_point_v<T> ? "finite number"
+                                              : "non-negative integer in range")
+              << "\n";
+  }
+  return ok;
+}
+
 ParseResult parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -116,6 +136,10 @@ ParseResult parse(int argc, char** argv, Options& opt) {
         return nullptr;
       }
       return argv[++i];
+    };
+    auto number = [&](auto& field) {
+      const char* v = next(arg.c_str());
+      return v != nullptr && parse_number(arg, v, field);
     };
     if (arg == "--help" || arg == "-h") {
       print_usage();
@@ -133,25 +157,15 @@ ParseResult parse(int argc, char** argv, Options& opt) {
       if (!v) return ParseResult::kError;
       opt.gpu = v;
     } else if (arg == "--fraction") {
-      const char* v = next("--fraction");
-      if (!v) return ParseResult::kError;
-      opt.fraction = std::atof(v);
+      if (!number(opt.fraction)) return ParseResult::kError;
     } else if (arg == "--epochs") {
-      const char* v = next("--epochs");
-      if (!v) return ParseResult::kError;
-      opt.epochs = static_cast<std::size_t>(std::atol(v));
+      if (!number(opt.epochs)) return ParseResult::kError;
     } else if (arg == "--scale") {
-      const char* v = next("--scale");
-      if (!v) return ParseResult::kError;
-      opt.scale = std::atof(v);
+      if (!number(opt.scale)) return ParseResult::kError;
     } else if (arg == "--devices") {
-      const char* v = next("--devices");
-      if (!v) return ParseResult::kError;
-      opt.devices = static_cast<std::size_t>(std::atol(v));
+      if (!number(opt.devices)) return ParseResult::kError;
     } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return ParseResult::kError;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number(opt.seed)) return ParseResult::kError;
     } else if (arg == "--no-feedback") {
       opt.feedback = false;
     } else if (arg == "--no-biasing") {
@@ -179,17 +193,13 @@ ParseResult parse(int argc, char** argv, Options& opt) {
       if (!v) return ParseResult::kError;
       opt.scenario_summary_path = v;
     } else if (arg == "--chunk-samples") {
-      const char* v = next("--chunk-samples");
-      if (!v) return ParseResult::kError;
-      opt.chunk_samples = static_cast<std::size_t>(std::atol(v));
+      if (!number(opt.chunk_samples)) return ParseResult::kError;
     } else if (arg == "--checkpoint-dir") {
       const char* v = next("--checkpoint-dir");
       if (!v) return ParseResult::kError;
       opt.checkpoint_dir = v;
     } else if (arg == "--checkpoint-every") {
-      const char* v = next("--checkpoint-every");
-      if (!v) return ParseResult::kError;
-      opt.checkpoint_every = static_cast<std::size_t>(std::atol(v));
+      if (!number(opt.checkpoint_every)) return ParseResult::kError;
     } else if (arg == "--resume") {
       opt.resume = true;
     } else if (arg == "--trace") {
@@ -243,47 +253,15 @@ int main(int argc, char** argv) {
     case ParseResult::kError: return 1;
   }
 
-  const auto& info = data::dataset_info(opt.dataset);
-
-  // A scenario preset replaces the static substrate dataset with a
-  // non-stationary per-epoch stream over the same paper-scale metadata.
-  data::scenario::ScenarioConfig scenario_config;
-  std::unique_ptr<data::scenario::EpochStream> stream;
-  std::optional<data::Dataset> substrate;
-  if (!opt.scenario.empty()) {
-    try {
-      scenario_config.kind = data::scenario::kind_from_string(opt.scenario);
-    } catch (const std::exception& e) {
-      std::cerr << "config error: " << e.what() << "\n";
-      return 1;
-    }
-    scenario_config.seed = opt.seed;
-    scenario_config.train_size = std::max<std::size_t>(
-        200, static_cast<std::size_t>(
-                 static_cast<double>(info.paper_train_size) * opt.scale));
-    stream = data::scenario::make_scenario(scenario_config);
-  } else {
-    if (!opt.scenario_summary_path.empty()) {
-      std::cerr << "config error: --scenario-summary requires --scenario\n";
-      return 1;
-    }
-    substrate = data::make_substrate_dataset(info, opt.scale, 0, opt.seed);
-  }
-
-  core::PipelineInputs inputs;
-  inputs.dataset = stream ? &stream->base() : &*substrate;
-  inputs.stream = stream.get();
-  inputs.info = info;
-  inputs.model = nn::model_spec(info.paper_network);
-  inputs.train.epochs = opt.epochs;
-  inputs.train.batch_size = 128;
-  inputs.train.seed = opt.seed;
-  inputs.train.chunk_samples = opt.chunk_samples;
-
-  // One validated RunConfig drives the run end to end.
+  // One validated RunConfig drives the run end to end. It is checked
+  // before anything is looked up by name, so a bad name or value is a
+  // config error, never an abort.
   core::RunConfig rc;
   rc.system.gpu = opt.gpu;
-  rc.train = inputs.train;
+  rc.train.epochs = opt.epochs;
+  rc.train.batch_size = 128;
+  rc.train.seed = opt.seed;
+  rc.train.chunk_samples = opt.chunk_samples;
   rc.nessa.subset_fraction = opt.fraction;
   rc.nessa.weight_feedback = opt.feedback;
   rc.nessa.subset_biasing = opt.biasing;
@@ -322,6 +300,40 @@ int main(int argc, char** argv) {
     for (const auto& e : errors) std::cerr << "config error: " << e << "\n";
     return 1;
   }
+
+  const auto& info = data::dataset_info(opt.dataset);
+
+  // A scenario preset replaces the static substrate dataset with a
+  // non-stationary per-epoch stream over the same paper-scale metadata.
+  data::scenario::ScenarioConfig scenario_config;
+  std::unique_ptr<data::scenario::EpochStream> stream;
+  std::optional<data::Dataset> substrate;
+  if (!opt.scenario.empty()) {
+    try {
+      scenario_config.kind = data::scenario::kind_from_string(opt.scenario);
+    } catch (const std::exception& e) {
+      std::cerr << "config error: " << e.what() << "\n";
+      return 1;
+    }
+    scenario_config.seed = opt.seed;
+    scenario_config.train_size = std::max<std::size_t>(
+        200, static_cast<std::size_t>(
+                 static_cast<double>(info.paper_train_size) * opt.scale));
+    stream = data::scenario::make_scenario(scenario_config);
+  } else {
+    if (!opt.scenario_summary_path.empty()) {
+      std::cerr << "config error: --scenario-summary requires --scenario\n";
+      return 1;
+    }
+    substrate = data::make_substrate_dataset(info, opt.scale, 0, opt.seed);
+  }
+
+  core::PipelineInputs inputs;
+  inputs.dataset = stream ? &stream->base() : &*substrate;
+  inputs.stream = stream.get();
+  inputs.info = info;
+  inputs.model = nn::model_spec(info.paper_network);
+  inputs.train = rc.train;
   inputs.perf_model = rc.perf_model;
   // The non-RunConfig entry points (multi-device, baselines) read the fault
   // plan and checkpoint config straight from the staged inputs.
