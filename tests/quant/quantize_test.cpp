@@ -37,6 +37,21 @@ TEST(Quantize, ExtremesHit127) {
   EXPECT_EQ(q.data[1], 127);
 }
 
+TEST(Quantize, ExactTiesRoundAwayFromZero) {
+  // max|x| = 127 makes the scale exactly 1, so x * inv is x itself.
+  Tensor t = Tensor::from(
+      {7}, {0.5f, 2.5f, -2.5f, 126.5f, -126.5f, -0.5f, 127.0f});
+  auto q = quantize_symmetric(t);
+  ASSERT_EQ(q.scale, 1.0f);
+  EXPECT_EQ(q.data[0], 1);
+  EXPECT_EQ(q.data[1], 3);
+  EXPECT_EQ(q.data[2], -3);
+  EXPECT_EQ(q.data[3], 127);
+  EXPECT_EQ(q.data[4], -127);
+  EXPECT_EQ(q.data[5], -1);
+  EXPECT_EQ(q.data[6], 127);
+}
+
 TEST(Quantize, AllZeroTensorSafe) {
   Tensor t({8});
   auto q = quantize_symmetric(t);
