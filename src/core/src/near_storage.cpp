@@ -11,7 +11,8 @@ namespace {
 
 /// Score `pool` batch by batch: gather each batch's rows of `split`, run
 /// `forward` (batch -> logits + penultimate activation) and apply the
-/// shared per-batch embedding math.
+/// shared per-batch embedding math. The gather and label buffers are
+/// reused; only the short last batch reallocates the gather buffer.
 template <typename Forward>
 QEmbeddings score_batches(const data::Split& split,
                           std::span<const std::size_t> pool, bool scaled,
@@ -22,17 +23,21 @@ QEmbeddings score_batches(const data::Split& split,
   QEmbeddings out;
   out.correct.resize(n);
   nn::EmbeddingResult emb;
+  tensor::Tensor batch;
+  std::vector<nn::Label> labels;
   for (std::size_t start = 0; start < n; start += batch_size) {
     const std::size_t count = std::min(batch_size, n - start);
-    tensor::Tensor batch({count, dim});
-    std::vector<nn::Label> labels(count);
+    if (batch.rank() != 2 || batch.shape()[0] != count) {
+      batch = tensor::Tensor({count, dim});
+    }
+    labels.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t row = pool[start + i];
       std::copy_n(split.features.data() + row * dim, dim,
                   batch.data() + i * dim);
       labels[i] = split.labels[row];
     }
-    const auto fwd = forward(batch);
+    const auto& fwd = forward(batch);
     nn::embed_batch(fwd.logits, scaled ? &fwd.penultimate : nullptr, labels,
                     start, n, emb);
     for (std::size_t i = 0; i < count; ++i) {
@@ -104,10 +109,13 @@ QEmbeddings compute_q_embeddings(const quant::QuantizedMlp& qmodel,
                                  const data::Split& split,
                                  std::span<const std::size_t> pool,
                                  bool scaled, std::size_t batch_size) {
-  return score_batches(split, pool, scaled, batch_size,
-                       [&](const tensor::Tensor& batch) {
-                         return qmodel.forward_with_penultimate(batch);
-                       });
+  quant::QuantizedMlp::Workspace workspace;
+  return score_batches(
+      split, pool, scaled, batch_size,
+      [&](const tensor::Tensor& batch)
+          -> const quant::QuantizedMlp::ForwardResult& {
+        return qmodel.forward_with_penultimate(batch, workspace);
+      });
 }
 
 std::unique_ptr<SelectionModel> make_quantized_selection_model(

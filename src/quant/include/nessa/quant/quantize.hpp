@@ -42,10 +42,6 @@ Tensor dequantize(const QuantizedTensor& q);
 /// Max elementwise |x - dequant(quant(x))|; bounded by scale/2.
 float quantization_error(const Tensor& t, const QuantizedTensor& q);
 
-/// Quantize a row-major float activation matrix to int8 with its own scale
-/// (dynamic activation quantization, as the FPGA kernel does per batch).
-QuantizedTensor quantize_activations(const Tensor& t);
-
 /// Int8 x int8 -> int32 GEMM with float rescale:
 /// out(mxn) = dequant( qa(mxk) * qb(kxn) ), out_scale = qa.scale * qb.scale.
 Tensor quantized_matmul(const QuantizedTensor& qa, const QuantizedTensor& qb);

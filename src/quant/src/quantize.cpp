@@ -41,10 +41,6 @@ float quantization_error(const Tensor& t, const QuantizedTensor& q) {
   return worst;
 }
 
-QuantizedTensor quantize_activations(const Tensor& t) {
-  return quantize_symmetric(t);
-}
-
 Tensor quantized_matmul(const QuantizedTensor& qa, const QuantizedTensor& qb) {
   if (qa.shape.size() != 2 || qb.shape.size() != 2) {
     throw std::invalid_argument("quantized_matmul: operands must be rank 2");
