@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "nessa/core/job_spec.hpp"
-#include "nessa/selection/drivers.hpp"
 #include "nessa/util/parallelism.hpp"
 
 namespace nessa::core {
@@ -117,11 +116,6 @@ struct RunConfig : JobSpec {
     checkpoint.resume = true;
     return *this;
   }
-
-  /// The selection-driver configuration this run implies (greedy kind,
-  /// partitioning, parallelism). Seed is the nessa trainer's per-epoch
-  /// derivation base.
-  [[nodiscard]] selection::DriverConfig driver() const;
 
   /// Check every field — the JobSpec half plus the host-side options —
   /// and return ALL problems found, one human-readable message each

@@ -11,17 +11,6 @@
 
 namespace nessa::core {
 
-selection::DriverConfig RunConfig::driver() const {
-  selection::DriverConfig cfg;
-  cfg.greedy = nessa.greedy;
-  cfg.stochastic_epsilon = nessa.stochastic_epsilon;
-  cfg.per_class = true;
-  cfg.partition_quota = nessa.partition_quota;
-  cfg.parallelism = parallelism;
-  cfg.seed = train.seed;
-  return cfg;
-}
-
 std::vector<std::string> RunConfig::validate() const {
   // The JobSpec half carries every spec-side constraint; the host-side
   // options (parallelism, telemetry paths) have no invalid states today.
