@@ -151,6 +151,24 @@ std::vector<std::string> JobSpec::validate() const {
     errors.push_back("devices: only the nessa pipeline shards across "
                      "multiple SmartSSDs");
   }
+  if (devices > 1) {
+    // The multi-device pipeline scans the whole pool in one pass and
+    // replays no faults: reject what it would otherwise ignore. Crash kill
+    // points stay valid; the epoch loop checks them for every pipeline.
+    if (train.chunk_samples > 0) {
+      errors.push_back("train.chunk_samples: chunked scans need devices == 1");
+    }
+    if (fault_plan.enabled()) {
+      errors.push_back("fault_plan: request faults need devices == 1");
+    }
+    if (fault_plan.selection_deadline_factor > 0.0) {
+      errors.push_back(
+          "fault_plan.selection_deadline_factor: needs devices == 1");
+    }
+    if (fault_plan.has_corruption()) {
+      errors.push_back("fault_plan: corrupt directives need devices == 1");
+    }
+  }
   check_system(system, errors);
   check_workload(workload, errors);
   check_train(train, errors);

@@ -13,7 +13,6 @@
 // through fleet::run_fleet, prints the per-tenant and per-component tables,
 // and optionally writes the machine-readable summary JSON that the CI
 // fleet-smoke job validates.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -21,6 +20,7 @@
 #include "nessa/fleet/fleet_sim.hpp"
 #include "nessa/nessa.hpp"
 #include "nessa/util/table.hpp"
+#include "parse_number.hpp"
 
 using namespace nessa;
 
@@ -63,62 +63,70 @@ void print_usage() {
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::cerr << "missing value for " << what << "\n";
+        std::cerr << "missing value for " << arg << "\n";
         return nullptr;
       }
       return argv[++i];
     };
-    const char* v = nullptr;
+    auto number = [&](auto& field) {
+      const char* v = next();
+      return v != nullptr && tools::parse_number(arg, v, field);
+    };
+    auto text = [&](std::string& field) {
+      const char* v = next();
+      if (v != nullptr) field = v;
+      return v != nullptr;
+    };
+    bool ok = true;
     if (arg == "--help" || arg == "-h") {
       print_usage();
       return false;
-    } else if (arg == "--devices" && (v = next("--devices"))) {
-      opt.devices = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--gpus" && (v = next("--gpus"))) {
-      opt.gpus = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--jobs-per-device" && (v = next("--jobs-per-device"))) {
-      opt.jobs_per_device = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--jobs" && (v = next("--jobs"))) {
-      opt.jobs = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--tenants" && (v = next("--tenants"))) {
-      opt.tenants = static_cast<std::uint32_t>(std::atol(v));
-    } else if (arg == "--rate" && (v = next("--rate"))) {
-      opt.rate = std::atof(v);
-    } else if (arg == "--seed" && (v = next("--seed"))) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--arrivals" && (v = next("--arrivals"))) {
-      opt.arrivals_path = v;
-    } else if (arg == "--pipeline" && (v = next("--pipeline"))) {
-      opt.pipeline = v;
-    } else if (arg == "--epochs" && (v = next("--epochs"))) {
-      opt.epochs = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--queue-capacity" && (v = next("--queue-capacity"))) {
-      opt.queue_capacity = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--policy" && (v = next("--policy"))) {
-      opt.policy = v;
-    } else if (arg == "--quantum" && (v = next("--quantum"))) {
-      opt.quantum = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--chunk-records" && (v = next("--chunk-records"))) {
-      opt.chunk_records = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--fault-plan" && (v = next("--fault-plan"))) {
-      opt.fault_plan = v;
-    } else if (arg == "--probe-us" && (v = next("--probe-us"))) {
-      opt.probe_us = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--engine" && (v = next("--engine"))) {
-      opt.engine = v;
-    } else if (arg == "--summary" && (v = next("--summary"))) {
-      opt.summary_path = v;
-    } else if (arg == "--metrics" && (v = next("--metrics"))) {
-      opt.metrics_path = v;
-    } else if (v == nullptr && arg.rfind("--", 0) == 0 && i + 1 >= argc) {
-      return false;  // `next` already printed the missing-value error
+    } else if (arg == "--devices") {
+      ok = number(opt.devices);
+    } else if (arg == "--gpus") {
+      ok = number(opt.gpus);
+    } else if (arg == "--jobs-per-device") {
+      ok = number(opt.jobs_per_device);
+    } else if (arg == "--jobs") {
+      ok = number(opt.jobs);
+    } else if (arg == "--tenants") {
+      ok = number(opt.tenants);
+    } else if (arg == "--rate") {
+      ok = number(opt.rate);
+    } else if (arg == "--seed") {
+      ok = number(opt.seed);
+    } else if (arg == "--arrivals") {
+      ok = text(opt.arrivals_path);
+    } else if (arg == "--pipeline") {
+      ok = text(opt.pipeline);
+    } else if (arg == "--epochs") {
+      ok = number(opt.epochs);
+    } else if (arg == "--queue-capacity") {
+      ok = number(opt.queue_capacity);
+    } else if (arg == "--policy") {
+      ok = text(opt.policy);
+    } else if (arg == "--quantum") {
+      ok = number(opt.quantum);
+    } else if (arg == "--chunk-records") {
+      ok = number(opt.chunk_records);
+    } else if (arg == "--fault-plan") {
+      ok = text(opt.fault_plan);
+    } else if (arg == "--probe-us") {
+      ok = number(opt.probe_us);
+    } else if (arg == "--engine") {
+      ok = text(opt.engine);
+    } else if (arg == "--summary") {
+      ok = text(opt.summary_path);
+    } else if (arg == "--metrics") {
+      ok = text(opt.metrics_path);
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       print_usage();
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }

@@ -40,15 +40,11 @@
 // Exit codes: 0 success, 1 usage/config error (including --resume with no
 // valid snapshot), 3 run terminated by an injected crash kill point.
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 
 #include "nessa/ckpt/errors.hpp"
 #include "nessa/core/energy.hpp"
@@ -58,6 +54,7 @@
 #include "nessa/fault/crash.hpp"
 #include "nessa/telemetry/telemetry.hpp"
 #include "nessa/util/table.hpp"
+#include "parse_number.hpp"
 
 using namespace nessa;
 
@@ -110,23 +107,6 @@ void print_usage() {
 
 enum class ParseResult { kRun, kHelp, kError };
 
-/// Strict numeric flag value: the whole token must parse, counts take no
-/// sign and must fit their type, reals must be finite.
-template <typename T>
-bool parse_number(const std::string& flag, const char* text, T& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  bool ok = ec == std::errc{} && ptr == end && text != end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
-  if (!ok) {
-    std::cerr << "config error: " << flag << ": '" << text << "' is not a "
-              << (std::is_floating_point_v<T> ? "finite number"
-                                              : "non-negative integer in range")
-              << "\n";
-  }
-  return ok;
-}
-
 ParseResult parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -139,7 +119,7 @@ ParseResult parse(int argc, char** argv, Options& opt) {
     };
     auto number = [&](auto& field) {
       const char* v = next(arg.c_str());
-      return v != nullptr && parse_number(arg, v, field);
+      return v != nullptr && tools::parse_number(arg, v, field);
     };
     if (arg == "--help" || arg == "-h") {
       print_usage();

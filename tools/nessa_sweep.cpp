@@ -6,7 +6,6 @@
 //               [--fractions 0.05,0.1,0.2,0.3,0.5]
 //               [--pipelines nessa,random,craig,kcenter,loss-topk]
 //               [--csv PATH]
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -15,6 +14,7 @@
 
 #include "nessa/core/run.hpp"
 #include "nessa/util/table.hpp"
+#include "parse_number.hpp"
 
 using namespace nessa;
 
@@ -44,26 +44,52 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+      if (i + 1 >= argc) {
+        std::cerr << "missing value for " << arg << "\n";
+        return nullptr;
+      }
+      return argv[++i];
     };
+    auto number = [&](auto& field) {
+      const char* v = next();
+      return v != nullptr && tools::parse_number(arg, v, field);
+    };
+    auto text = [&](std::string& field) {
+      const char* v = next();
+      if (v != nullptr) field = v;
+      return v != nullptr;
+    };
+    bool ok = true;
     if (arg == "--dataset") {
-      if (const char* v = next()) dataset = v;
+      ok = text(dataset);
     } else if (arg == "--epochs") {
-      if (const char* v = next()) epochs = std::atol(v);
+      ok = number(epochs);
     } else if (arg == "--scale") {
-      if (const char* v = next()) scale = std::atof(v);
+      ok = number(scale);
     } else if (arg == "--seed") {
-      if (const char* v = next()) seed = std::atoll(v);
+      ok = number(seed);
     } else if (arg == "--fractions") {
-      if (const char* v = next()) fractions_arg = v;
+      ok = text(fractions_arg);
     } else if (arg == "--pipelines") {
-      if (const char* v = next()) pipelines_arg = v;
+      ok = text(pipelines_arg);
     } else if (arg == "--csv") {
-      if (const char* v = next()) csv_path = v;
+      ok = text(csv_path);
     } else {
       std::cerr << "unknown option " << arg << "\n";
       return 1;
     }
+    if (!ok) return 1;
+  }
+  std::vector<double> fractions;
+  for (const auto& item : split_csv(fractions_arg)) {
+    double fraction = 0.0;
+    if (!tools::parse_number("--fractions", item.c_str(), fraction)) return 1;
+    if (fraction <= 0.0 || fraction > 1.0) {
+      std::cerr << "config error: --fractions: " << item
+                << " is not in (0, 1]\n";
+      return 1;
+    }
+    fractions.push_back(fraction);
   }
 
   const auto& info = data::dataset_info(dataset);
@@ -96,12 +122,7 @@ int main(int argc, char** argv) {
                      static_cast<double>(full.interconnect_bytes) / 1e9, 2)});
 
   for (const auto& pipeline : split_csv(pipelines_arg)) {
-    for (const auto& frac_text : split_csv(fractions_arg)) {
-      const double fraction = std::atof(frac_text.c_str());
-      if (fraction <= 0.0 || fraction > 1.0) {
-        std::cerr << "skipping bad fraction " << frac_text << "\n";
-        continue;
-      }
+    for (const double fraction : fractions) {
       smartssd::SmartSsdSystem sys;
       core::RunConfig rc = base_rc;
       try {
@@ -125,7 +146,7 @@ int main(int argc, char** argv) {
            util::Table::num(util::to_seconds(run.mean_epoch_time), 2),
            util::Table::num(
                static_cast<double>(run.interconnect_bytes) / 1e9, 2)});
-      std::cerr << "[sweep] " << pipeline << " @ " << frac_text << " done\n";
+      std::cerr << "[sweep] " << pipeline << " @ " << fraction << " done\n";
     }
   }
   table.print(std::cout);

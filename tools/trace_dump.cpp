@@ -22,7 +22,6 @@
 // chrome://tracing or Perfetto) and the flat metrics JSON. CI parses both
 // and checks the phase names.
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -31,6 +30,7 @@
 #include "nessa/fleet/fleet_sim.hpp"
 #include "nessa/nessa.hpp"
 #include "nessa/util/table.hpp"
+#include "parse_number.hpp"
 
 using namespace nessa;
 
@@ -82,28 +82,23 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.metrics_path = v;
     } else if (arg == "--pipeline-epochs") {
       const char* v = next("--pipeline-epochs");
-      if (!v) return false;
-      opt.pipeline_epochs = static_cast<std::size_t>(std::atol(v));
+      if (!v || !tools::parse_number(arg, v, opt.pipeline_epochs)) return false;
     } else if (arg == "--train-epochs") {
       const char* v = next("--train-epochs");
-      if (!v) return false;
-      opt.train_epochs = static_cast<std::size_t>(std::atol(v));
+      if (!v || !tools::parse_number(arg, v, opt.train_epochs)) return false;
     } else if (arg == "--scale") {
       const char* v = next("--scale");
-      if (!v) return false;
-      opt.scale = std::atof(v);
+      if (!v || !tools::parse_number(arg, v, opt.scale)) return false;
     } else if (arg == "--seed") {
       const char* v = next("--seed");
-      if (!v) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!v || !tools::parse_number(arg, v, opt.seed)) return false;
     } else if (arg == "--fault-plan") {
       const char* v = next("--fault-plan");
       if (!v) return false;
       opt.fault_plan = v;
     } else if (arg == "--fleet-jobs") {
       const char* v = next("--fleet-jobs");
-      if (!v) return false;
-      opt.fleet_jobs = static_cast<std::size_t>(std::atol(v));
+      if (!v || !tools::parse_number(arg, v, opt.fleet_jobs)) return false;
     } else if (arg == "--scenario") {
       const char* v = next("--scenario");
       if (!v) return false;
