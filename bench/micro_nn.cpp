@@ -90,8 +90,9 @@ void BM_Conv2dBackward(benchmark::State& state) {
   auto x = random_matrix(32, 3 * 256, 7);
   auto y = conv.forward(x, true);
   auto g = random_matrix(32, 16 * 256, 8);
+  nn::Tensor dx;
   for (auto _ : state) {
-    auto dx = conv.backward(g);
+    conv.backward(g, &dx);
     benchmark::DoNotOptimize(dx.data());
   }
 }

@@ -8,7 +8,7 @@ namespace nessa::nn {
 class Relu final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "relu"; }
 
@@ -19,7 +19,7 @@ class Relu final : public Layer {
 class Tanh final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "tanh"; }
 

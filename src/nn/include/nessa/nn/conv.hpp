@@ -31,7 +31,7 @@ class Conv2d final : public Layer {
          std::size_t stride, std::size_t pad, util::Rng& rng);
 
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "conv2d"; }
@@ -68,7 +68,7 @@ class AvgPool2d final : public Layer {
   explicit AvgPool2d(ImageDims in);
 
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "avgpool2d"; }
 
@@ -88,7 +88,7 @@ class BatchNorm2d final : public Layer {
                        float epsilon = 1e-5f);
 
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "batchnorm2d"; }
@@ -120,7 +120,7 @@ class ResidualBlock final : public Layer {
                 util::Rng& rng);
 
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "residual"; }

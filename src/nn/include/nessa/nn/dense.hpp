@@ -11,7 +11,7 @@ class Dense final : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "dense"; }

@@ -11,7 +11,7 @@ class Dropout final : public Layer {
   Dropout(float rate, util::Rng& rng);
 
   Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  void backward(const Tensor& grad_output, Tensor* grad_input) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "dropout"; }
 

@@ -33,9 +33,11 @@ class Layer {
   /// Forward pass. `train` toggles train-time behaviour (dropout).
   virtual Tensor forward(const Tensor& input, bool train) = 0;
 
-  /// Backward pass: consumes dL/d(output), returns dL/d(input), and
-  /// accumulates parameter gradients (callers zero_grads() per step).
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// Backward pass: consumes dL/d(output) and accumulates parameter
+  /// gradients (callers zero_grads() per step). Writes dL/d(input) to
+  /// `grad_input` unless it is null; Sequential passes null to its first
+  /// layer, whose input gradient nothing reads.
+  virtual void backward(const Tensor& grad_output, Tensor* grad_input) = 0;
 
   /// Parameter/gradient pairs (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }

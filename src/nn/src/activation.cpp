@@ -11,10 +11,10 @@ Tensor Relu::forward(const Tensor& input, bool /*train*/) {
   return tensor::relu(input);
 }
 
-Tensor Relu::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  tensor::relu_backward(grad, cached_input_);
-  return grad;
+void Relu::backward(const Tensor& grad_output, Tensor* grad_input) {
+  if (!grad_input) return;
+  *grad_input = grad_output;
+  tensor::relu_backward(*grad_input, cached_input_);
 }
 
 std::unique_ptr<Layer> Relu::clone() const { return std::make_unique<Relu>(); }
@@ -26,13 +26,14 @@ Tensor Tanh::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
+void Tanh::backward(const Tensor& grad_output, Tensor* grad_input) {
+  if (!grad_input) return;
+  Tensor& grad = *grad_input;
+  grad = grad_output;
   for (std::size_t i = 0; i < grad.size(); ++i) {
     const float y = cached_output_[i];
     grad[i] *= 1.0f - y * y;
   }
-  return grad;
 }
 
 std::unique_ptr<Layer> Tanh::clone() const { return std::make_unique<Tanh>(); }

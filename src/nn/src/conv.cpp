@@ -106,7 +106,7 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward(const Tensor& grad_output, Tensor* grad_input) {
   if (grad_output.rank() != 2 || grad_output.cols() != out_.flat() ||
       grad_output.rows() != cached_batch_) {
     throw std::invalid_argument("Conv2d::backward: bad gradient shape");
@@ -125,6 +125,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
   grad_weight_ += tensor::matmul_at_b(cached_cols_, gmat);
   grad_bias_ += tensor::column_sums(gmat);
+  if (!grad_input) return;
 
   Tensor gcols = tensor::matmul_a_bt(gmat, weight_);
 
@@ -160,7 +161,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
     }
   }
-  return dx;
+  *grad_input = std::move(dx);
 }
 
 std::vector<ParamRef> Conv2d::params() {
@@ -218,11 +219,12 @@ Tensor AvgPool2d::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
+void AvgPool2d::backward(const Tensor& grad_output, Tensor* grad_input) {
   if (grad_output.cols() != out_.flat() ||
       grad_output.rows() != cached_batch_) {
     throw std::invalid_argument("AvgPool2d::backward: bad gradient shape");
   }
+  if (!grad_input) return;
   Tensor dx({cached_batch_, in_.flat()});
   for (std::size_t b = 0; b < cached_batch_; ++b) {
     const float* g = grad_output.data() + b * out_.flat();
@@ -242,7 +244,7 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
       }
     }
   }
-  return dx;
+  *grad_input = std::move(dx);
 }
 
 std::unique_ptr<Layer> AvgPool2d::clone() const {
@@ -322,7 +324,7 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
   return out;
 }
 
-Tensor BatchNorm2d::backward(const Tensor& grad_output) {
+void BatchNorm2d::backward(const Tensor& grad_output, Tensor* grad_input) {
   if (grad_output.rows() != cached_batch_ ||
       grad_output.cols() != in_.flat()) {
     throw std::invalid_argument("BatchNorm2d::backward: bad gradient shape");
@@ -358,7 +360,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
       }
     }
   }
-  return dx;
+  if (grad_input) *grad_input = std::move(dx);
 }
 
 std::vector<ParamRef> BatchNorm2d::params() {
@@ -409,21 +411,24 @@ Tensor ResidualBlock::forward(const Tensor& input, bool train) {
   return tensor::relu(h);
 }
 
-Tensor ResidualBlock::backward(const Tensor& grad_output) {
+void ResidualBlock::backward(const Tensor& grad_output, Tensor* grad_input) {
   Tensor g = grad_output;
   tensor::relu_backward(g, cached_sum_);
 
   // Residual path.
-  Tensor gr = bn2_->backward(g);
-  gr = conv2_->backward(gr);
+  Tensor gr, gb;
+  bn2_->backward(g, &gb);
+  conv2_->backward(gb, &gr);
   tensor::relu_backward(gr, cached_pre1_);
-  gr = bn1_->backward(gr);
-  gr = conv1_->backward(gr);
+  bn1_->backward(gr, &gb);
+  conv1_->backward(gb, grad_input ? &gr : nullptr);
 
   // Shortcut path.
-  Tensor gs = shortcut_ ? shortcut_->backward(g) : g;
-  gr += gs;
-  return gr;
+  Tensor gs;
+  if (shortcut_) shortcut_->backward(g, grad_input ? &gs : nullptr);
+  if (!grad_input) return;
+  gr += shortcut_ ? gs : g;
+  *grad_input = std::move(gr);
 }
 
 std::vector<ParamRef> ResidualBlock::params() {

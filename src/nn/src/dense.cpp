@@ -19,11 +19,11 @@ Tensor Dense::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+void Dense::backward(const Tensor& grad_output, Tensor* grad_input) {
   // dW += x^T g ; db += column sums of g ; dx = g W^T.
   grad_weight_ += tensor::matmul_at_b(cached_input_, grad_output);
   grad_bias_ += tensor::column_sums(grad_output);
-  return tensor::matmul_a_bt(grad_output, weight_);
+  if (grad_input) *grad_input = tensor::matmul_a_bt(grad_output, weight_);
 }
 
 std::vector<ParamRef> Dense::params() {

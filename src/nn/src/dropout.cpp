@@ -25,11 +25,10 @@ Tensor Dropout::forward(const Tensor& input, bool train) {
   return out;
 }
 
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!last_was_train_ || rate_ == 0.0f) return grad_output;
-  Tensor grad = grad_output;
-  grad.hadamard(mask_);
-  return grad;
+void Dropout::backward(const Tensor& grad_output, Tensor* grad_input) {
+  if (!grad_input) return;
+  *grad_input = grad_output;
+  if (last_was_train_ && rate_ != 0.0f) grad_input->hadamard(mask_);
 }
 
 std::unique_ptr<Layer> Dropout::clone() const {

@@ -19,12 +19,16 @@ Tensor Sequential::forward(const Tensor& input, bool train) {
   return x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+void Sequential::backward(const Tensor& grad_output) {
+  // Two buffers take turns as the gradient a layer reads and the one it
+  // writes. Layer 0 writes none: nothing reads dL/d(input).
+  Tensor buffers[2];
+  const Tensor* g = &grad_output;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    Tensor* grad_input = i == 0 ? nullptr : &buffers[i % 2];
+    layers_[i]->backward(*g, grad_input);
+    g = grad_input;
   }
-  return g;
 }
 
 std::vector<ParamRef> Sequential::params() {

@@ -107,16 +107,6 @@ void quantize_row(const float* x, std::size_t n, float inv,
   }
 }
 
-/// Pins `v` as computed, so that a target with FMA (NESSA_NATIVE_ARCH)
-/// cannot fuse the multiply that produced it into the following add: the
-/// scalar path rounds the product before it adds the bias.
-inline __m128 rounded(__m128 v) noexcept {
-#if defined(__GNUC__)
-  asm("" : "+x"(v));
-#endif
-  return v;
-}
-
 constexpr std::size_t kMaxRegs = 8;  // 32 outputs per column block
 
 /// int32 dot products of the quantized row `q` with kRegs * 4 weight
@@ -170,9 +160,8 @@ float fused_layer(const float* x, std::size_t rows, std::size_t in,
       kDotBlocks[regs](q, pairs, packed + 2 * j0, 2 * out4, acc);
       for (std::size_t b = 0; b < regs; ++b) {
         const std::size_t j = j0 + 4 * b;
-        __m128 v = _mm_add_ps(
-            rounded(_mm_mul_ps(_mm_cvtepi32_ps(acc[b]), rescale)),
-            _mm_loadu_ps(bias + j));
+        __m128 v = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc[b]), rescale),
+                              _mm_loadu_ps(bias + j));
         if (relu) v = _mm_max_ps(v, zero);  // -0.0 and NaN become +0.0
         // Padding lanes hold 0 (or NaN, which max ignores): max unchanged.
         vmax = _mm_max_ps(_mm_and_ps(v, abs_mask), vmax);

@@ -2,9 +2,12 @@
 // and backward passes need, plus row-wise softmax and distance kernels used
 // by the selection library.
 //
-// The matmul is cache-blocked and optionally parallelized over row blocks via
-// the global thread pool. Correctness is checked against a naive reference
-// in the tests; both paths are exposed so the benchmarks can compare them.
+// The three GEMMs run register-tiled SSE2 kernels, optionally parallelized
+// over row blocks via the global thread pool. Each output element keeps one
+// fixed summation order whatever the tiling, the thread count or the target
+// (docs/performance.md, "Float training step"); tests pin the kernels bit
+// for bit to scalar references of that order. matmul_naive is the
+// double-precision reference the benchmarks compare against.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +48,8 @@ std::vector<std::size_t> argmax_rows(const Tensor& a);
 /// ReLU forward: out = max(0, a) elementwise (copy).
 Tensor relu(const Tensor& a);
 
-/// ReLU backward in place: grad[i] = 0 where pre_activation[i] <= 0.
+/// ReLU backward in place: grad[i] = +0 where pre_activation[i] <= 0 (a NaN
+/// pre-activation keeps its gradient).
 void relu_backward(Tensor& grad, const Tensor& pre_activation);
 
 /// Squared L2 distance between two equal-length vectors.

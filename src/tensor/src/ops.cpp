@@ -7,14 +7,17 @@
 
 #include "nessa/util/thread_pool.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace nessa::tensor {
 
 namespace {
 
-constexpr std::size_t kBlock = 64;
 constexpr std::size_t kParallelThresholdFlops = 1u << 22;  // ~4 MFLOP
-/// B-row tile for the A*B^T kernels: 32 rows of up-to-kBlock floats stay
-/// resident in L1 while one A row streams against them.
+/// B-row tile for the A*B^T kernel: 32 B rows of a few hundred floats stay
+/// resident in L1 while the A rows stream against them.
 constexpr std::size_t kRowTile = 32;
 /// Independent float accumulator lanes per dot product. Eight lanes break
 /// the serial FP dependency chain so the compiler can keep one full SIMD
@@ -50,37 +53,164 @@ float dot_lanes(const float* a, const float* b, std::size_t k) noexcept {
          tail;
 }
 
-/// Inner kernel: C[r0:r1) += A-rows * B, blocked over k and n.
-/// A is (m x k), B is (k x n), C is (m x n), all row-major raw pointers.
-void gemm_rows(const float* a, const float* b, float* c, std::size_t r0,
-               std::size_t r1, std::size_t k, std::size_t n) {
-  for (std::size_t kk = 0; kk < k; kk += kBlock) {
-    const std::size_t kend = std::min(k, kk + kBlock);
-    for (std::size_t i = r0; i < r1; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      for (std::size_t p = kk; p < kend; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const float* brow = b + p * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+/// One element of the GEMM family: +0, then + a[s * a_step] * b[s * ldb]
+/// for s ascending, each product rounded before its add. Every element of
+/// A * B and A^T * B is summed in exactly this order, tiled or not.
+float gemm_element(const float* a, std::size_t a_step, const float* b,
+                   std::size_t ldb, std::size_t steps) noexcept {
+  float acc = 0.0f;
+  for (std::size_t s = 0; s < steps; ++s) acc += a[s * a_step] * b[s * ldb];
+  return acc;
+}
+
+#if defined(__SSE2__)
+
+/// One R x 4V tile of C, each element in gemm_element's order: the
+/// accumulators start at +0 and take one _mm_mul_ps then one _mm_add_ps per
+/// step, with no zero skip. A element (row r, step s) sits at
+/// a[r * a_row + s * a_step], B row s at b + s * ldb.
+template <std::size_t R, std::size_t V>
+void gemm_tile(const float* a, std::size_t a_row, std::size_t a_step,
+               const float* b, std::size_t ldb, float* c, std::size_t ldc,
+               std::size_t steps) noexcept {
+  __m128 acc[R][V];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) acc[r][v] = _mm_setzero_ps();
+  }
+  for (std::size_t s = 0; s < steps; ++s, a += a_step, b += ldb) {
+    __m128 bv[V];
+    for (std::size_t v = 0; v < V; ++v) bv[v] = _mm_loadu_ps(b + 4 * v);
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m128 av = _mm_set1_ps(a[r * a_row]);
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm_add_ps(acc[r][v], _mm_mul_ps(av, bv[v]));
       }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      _mm_storeu_ps(c + r * ldc + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+/// All n >= 4 columns of R rows of C, in 8-wide tiles (4-wide when n < 8).
+/// The leftover columns take one more tile that ends at column n; the
+/// columns it shares with the previous tile get the same bits again.
+template <std::size_t R>
+void gemm_row_tiles(const float* a, std::size_t a_row, std::size_t a_step,
+                    const float* b, float* c, std::size_t steps,
+                    std::size_t n) noexcept {
+  std::size_t j = 0;
+  if (n >= 8) {
+    for (; j + 8 <= n; j += 8) {
+      gemm_tile<R, 2>(a, a_row, a_step, b + j, n, c + j, n, steps);
+    }
+    if (j == n) return;
+    if (n - j > 4) {
+      gemm_tile<R, 2>(a, a_row, a_step, b + n - 8, n, c + n - 8, n, steps);
+      return;
+    }
+  } else {
+    gemm_tile<R, 1>(a, a_row, a_step, b, n, c, n, steps);
+    if (n == 4) return;
+  }
+  gemm_tile<R, 1>(a, a_row, a_step, b + n - 4, n, c + n - 4, n, steps);
+}
+
+/// The 2x2 block C[i..i+1][j..j+1] of A * B^T, each element in dot_lanes'
+/// order. Per element, lanes 0-3 and 4-7 of the eight lane sums live in
+/// two registers; a 4x4 transpose then lines up lane l of all four elements
+/// so the pairwise combine and the tail run once for the whole block.
+void abt_tile(const float* a0, const float* a1, const float* b0,
+              const float* b1, std::size_t k, float* c0, float* c1) noexcept {
+  // Element e in lane order (a0.b0, a0.b1, a1.b0, a1.b1).
+  __m128 lo[4], hi[4];
+  for (std::size_t e = 0; e < 4; ++e) lo[e] = hi[e] = _mm_setzero_ps();
+  std::size_t p = 0;
+  for (; p + kLanes <= k; p += kLanes) {
+    for (std::size_t h = 0; h < kLanes; h += 4) {
+      const __m128 x0 = _mm_loadu_ps(a0 + p + h);
+      const __m128 x1 = _mm_loadu_ps(a1 + p + h);
+      const __m128 y0 = _mm_loadu_ps(b0 + p + h);
+      const __m128 y1 = _mm_loadu_ps(b1 + p + h);
+      __m128(&acc)[4] = h == 0 ? lo : hi;
+      acc[0] = _mm_add_ps(acc[0], _mm_mul_ps(x0, y0));
+      acc[1] = _mm_add_ps(acc[1], _mm_mul_ps(x0, y1));
+      acc[2] = _mm_add_ps(acc[2], _mm_mul_ps(x1, y0));
+      acc[3] = _mm_add_ps(acc[3], _mm_mul_ps(x1, y1));
+    }
+  }
+  __m128 tail = _mm_setzero_ps();
+  for (; p < k; ++p) {
+    tail = _mm_add_ps(tail, _mm_mul_ps(_mm_set_ps(a1[p], a1[p], a0[p], a0[p]),
+                                       _mm_set_ps(b1[p], b0[p], b1[p], b0[p])));
+  }
+  _MM_TRANSPOSE4_PS(lo[0], lo[1], lo[2], lo[3]);
+  _MM_TRANSPOSE4_PS(hi[0], hi[1], hi[2], hi[3]);
+  const __m128 body =
+      _mm_add_ps(_mm_add_ps(_mm_add_ps(lo[0], lo[1]), _mm_add_ps(lo[2], lo[3])),
+                 _mm_add_ps(_mm_add_ps(hi[0], hi[1]), _mm_add_ps(hi[2], hi[3])));
+  const __m128 sum = _mm_add_ps(body, tail);
+  _mm_storel_pi(reinterpret_cast<__m64*>(c0), sum);
+  _mm_storeh_pi(reinterpret_cast<__m64*>(c1), sum);
+}
+
+#endif  // __SSE2__
+
+/// C rows [r0, r1) of a GEMM whose A element (row i, step s) sits at
+/// a[i * a_row + s * a_step]: C = A * B for (a_row, a_step) = (k, 1) and
+/// C = A^T * B for (1, k). B is (steps x n), C is (rows x n). SSE2 builds
+/// run 4x8 register tiles; fewer than 4 columns, and builds without SSE2,
+/// run gemm_element itself.
+void gemm_rows(const float* a, std::size_t a_row, std::size_t a_step,
+               const float* b, float* c, std::size_t r0, std::size_t r1,
+               std::size_t steps, std::size_t n) {
+  std::size_t i = r0;
+#if defined(__SSE2__)
+  if (n >= 4) {
+    for (; i + 4 <= r1; i += 4) {
+      gemm_row_tiles<4>(a + i * a_row, a_row, a_step, b, c + i * n, steps, n);
+    }
+    for (; i < r1; ++i) {
+      gemm_row_tiles<1>(a + i * a_row, a_row, a_step, b, c + i * n, steps, n);
+    }
+  }
+#endif
+  for (; i < r1; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      c[i * n + j] = gemm_element(a + i * a_row, a_step, b + j, n, steps);
     }
   }
 }
 
 /// A*B^T kernel for rows [r0, r1): tiles over B rows so a kRowTile slab of
-/// B stays cache-hot while each A row streams against it; every output
-/// element is a lane-unrolled dot product.
+/// B stays cache-hot while A row pairs stream against it. SSE2 builds run
+/// 2x2 register tiles; an odd last row or column, and builds without SSE2,
+/// run dot_lanes itself.
 void gemm_abt_rows(const float* a, const float* b, float* c, std::size_t r0,
                    std::size_t r1, std::size_t k, std::size_t n) {
   for (std::size_t j0 = 0; j0 < n; j0 += kRowTile) {
     const std::size_t j1 = std::min(n, j0 + kRowTile);
-    for (std::size_t i = r0; i < r1; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
+    std::size_t i = r0;
+#if defined(__SSE2__)
+    for (; i + 2 <= r1; i += 2) {
+      const float* a0 = a + i * k;
+      float* c0 = c + i * n;
+      std::size_t j = j0;
+      for (; j + 2 <= j1; j += 2) {
+        abt_tile(a0, a0 + k, b + j * k, b + (j + 1) * k, k, c0 + j,
+                 c0 + n + j);
+      }
+      if (j < j1) {
+        c0[j] = dot_lanes(a0, b + j * k, k);
+        c0[n + j] = dot_lanes(a0 + k, b + j * k, k);
+      }
+    }
+#endif
+    for (; i < r1; ++i) {
       for (std::size_t j = j0; j < j1; ++j) {
-        crow[j] = dot_lanes(arow, b + j * k, k);
+        c[i * n + j] = dot_lanes(a + i * k, b + j * k, k);
       }
     }
   }
@@ -111,7 +241,7 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool parallel) {
   if (b.rows() != k) throw std::invalid_argument("matmul: inner dim mismatch");
   Tensor c({m, n});
   run_row_blocks(m, m * n * k, parallel, [&](std::size_t r0, std::size_t r1) {
-    gemm_rows(a.data(), b.data(), c.data(), r0, r1, k, n);
+    gemm_rows(a.data(), k, 1, b.data(), c.data(), r0, r1, k, n);
   });
   return c;
 }
@@ -123,20 +253,10 @@ Tensor matmul_at_b(const Tensor& a, const Tensor& b, bool parallel) {
   if (b.rows() != m) {
     throw std::invalid_argument("matmul_at_b: row-count mismatch");
   }
-  // C (k x n) = sum over i of outer(A[i,:], B[i,:]). Parallelize over k rows
-  // of the output by striding columns of A.
+  // C (k x n): row p of C is row p of A^T, i.e. column p of A.
   Tensor c({k, n});
   run_row_blocks(k, m * n * k, parallel, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = a.data() + i * k;
-      const float* brow = b.data() + i * n;
-      for (std::size_t p = r0; p < r1; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        float* crow = c.data() + p * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
+    gemm_rows(a.data(), 1, k, b.data(), c.data(), r0, r1, m, n);
   });
   return c;
 }
@@ -177,47 +297,55 @@ Tensor matmul_naive(const Tensor& a, const Tensor& b) {
 
 Tensor transpose(const Tensor& a) {
   require_rank2(a, "transpose");
-  Tensor t({a.cols(), a.rows()});
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
+  const std::size_t m = a.rows(), n = a.cols();
+  Tensor t({n, m});
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) t(j, i) = a(i, j);
   }
   return t;
 }
 
 void add_row_vector(Tensor& a, const Tensor& bias) {
   require_rank2(a, "add_row_vector");
-  if (bias.size() != a.cols()) {
+  // Shape reads stay out of the loops: rows() and cols() are out-of-line
+  // calls that would otherwise run per element and block vectorization.
+  const std::size_t m = a.rows(), n = a.cols();
+  if (bias.size() != n) {
     throw std::invalid_argument("add_row_vector: bias length mismatch");
   }
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    float* row = a.data() + i * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) row[j] += bias[j];
+  const float* b = bias.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    float* row = a.data() + i * n;
+    for (std::size_t j = 0; j < n; ++j) row[j] += b[j];
   }
 }
 
 Tensor column_sums(const Tensor& a) {
   require_rank2(a, "column_sums");
-  Tensor out({a.cols()});
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* row = a.data() + i * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) out[j] += row[j];
+  const std::size_t m = a.rows(), n = a.cols();
+  Tensor out({n});
+  float* sums = out.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* row = a.data() + i * n;
+    for (std::size_t j = 0; j < n; ++j) sums[j] += row[j];
   }
   return out;
 }
 
 void softmax_rows(Tensor& a) {
   require_rank2(a, "softmax_rows");
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    float* row = a.data() + i * a.cols();
+  const std::size_t m = a.rows(), n = a.cols();
+  for (std::size_t i = 0; i < m; ++i) {
+    float* row = a.data() + i * n;
     float mx = row[0];
-    for (std::size_t j = 1; j < a.cols(); ++j) mx = std::max(mx, row[j]);
+    for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
     double denom = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       row[j] = std::exp(row[j] - mx);
       denom += row[j];
     }
     const float inv = static_cast<float>(1.0 / denom);
-    for (std::size_t j = 0; j < a.cols(); ++j) row[j] *= inv;
+    for (std::size_t j = 0; j < n; ++j) row[j] *= inv;
   }
 }
 
@@ -225,11 +353,12 @@ std::vector<std::size_t> argmax_rows(const Tensor& a) {
   if (a.rank() != 2) {
     throw std::invalid_argument("argmax_rows: tensor must be rank 2");
   }
-  std::vector<std::size_t> out(a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* row = a.data() + i * a.cols();
+  const std::size_t m = a.rows(), n = a.cols();
+  std::vector<std::size_t> out(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* row = a.data() + i * n;
     std::size_t best = 0;
-    for (std::size_t j = 1; j < a.cols(); ++j) {
+    for (std::size_t j = 1; j < n; ++j) {
       if (row[j] > row[best]) best = j;
     }
     out[i] = best;
@@ -247,9 +376,21 @@ void relu_backward(Tensor& grad, const Tensor& pre_activation) {
   if (grad.shape() != pre_activation.shape()) {
     throw std::invalid_argument("relu_backward: shape mismatch");
   }
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    if (pre_activation[i] <= 0.0f) grad[i] = 0.0f;
+  // A compare-and-mask pass, not a branch: ReLU's sign pattern is random,
+  // so a branch mispredicts on half the elements. pre <= 0 is false for
+  // NaN, which keeps its gradient.
+  float* g = grad.data();
+  const float* pre = pre_activation.data();
+  const std::size_t size = grad.size();
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128 zero = _mm_setzero_ps();
+  for (; i + 4 <= size; i += 4) {
+    const __m128 dead = _mm_cmple_ps(_mm_loadu_ps(pre + i), zero);
+    _mm_storeu_ps(g + i, _mm_andnot_ps(dead, _mm_loadu_ps(g + i)));
   }
+#endif
+  for (; i < size; ++i) g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
 }
 
 float squared_l2(std::span<const float> a, std::span<const float> b) noexcept {

@@ -22,7 +22,8 @@ TEST(Relu, BackwardUsesCachedInput) {
   Tensor x = Tensor::from({1, 3}, {-1, 0, 1});
   relu.forward(x, true);
   Tensor g = Tensor::from({1, 3}, {5, 5, 5});
-  Tensor dx = relu.backward(g);
+  Tensor dx;
+  relu.backward(g, &dx);
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[1], 0.0f);
   EXPECT_EQ(dx[2], 5.0f);
@@ -48,7 +49,8 @@ TEST(Tanh, BackwardDerivative) {
   Tensor x = Tensor::from({1, 1}, {0.5f});
   Tensor y = tanh_layer.forward(x, true);
   Tensor g = Tensor::from({1, 1}, {1.0f});
-  Tensor dx = tanh_layer.backward(g);
+  Tensor dx;
+  tanh_layer.backward(g, &dx);
   const float expected = 1.0f - y[0] * y[0];
   EXPECT_NEAR(dx[0], expected, 1e-6f);
 }

@@ -74,7 +74,8 @@ TEST(AvgPool2d, BackwardSpreadsGradient) {
   Tensor x({1, 4});
   pool.forward(x, true);
   Tensor g = tensor::Tensor::from({1, 1}, {4.0f});
-  Tensor dx = pool.backward(g);
+  Tensor dx;
+  pool.backward(g, &dx);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(dx[i], 1.0f);
 }
 

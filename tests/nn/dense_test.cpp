@@ -25,7 +25,8 @@ TEST(Dense, BackwardShapes) {
   Tensor x({5, 4});
   layer.forward(x, true);
   Tensor g({5, 3});
-  Tensor dx = layer.backward(g);
+  Tensor dx;
+  layer.backward(g, &dx);
   EXPECT_EQ(dx.rows(), 5u);
   EXPECT_EQ(dx.cols(), 4u);
 }
@@ -38,7 +39,8 @@ TEST(Dense, BackwardGradientValues) {
   Tensor x = Tensor::from({1, 2}, {3, 4});
   layer.forward(x, true);
   Tensor g = Tensor::from({1, 2}, {1, 2});
-  Tensor dx = layer.backward(g);
+  Tensor dx;
+  layer.backward(g, &dx);
   // dx = g W^T = (1, 2) for identity W.
   EXPECT_FLOAT_EQ(dx(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(dx(0, 1), 2.0f);
@@ -63,9 +65,9 @@ TEST(Dense, GradsAccumulateAcrossCalls) {
   Tensor g({1, 2});
   g.fill(1.0f);
   layer.forward(x, true);
-  layer.backward(g);
+  layer.backward(g, nullptr);
   layer.forward(x, true);
-  layer.backward(g);
+  layer.backward(g, nullptr);
   const Tensor& gb = *layer.params()[1].grad;
   EXPECT_FLOAT_EQ(gb[0], 2.0f);
 }
@@ -89,7 +91,7 @@ TEST(Dense, CloneCopiesWeightsNotGrads) {
   layer.forward(x, true);
   Tensor g({1, 2});
   g.fill(1.0f);
-  layer.backward(g);
+  layer.backward(g, nullptr);
 
   auto copy = layer.clone();
   auto* dense_copy = dynamic_cast<Dense*>(copy.get());

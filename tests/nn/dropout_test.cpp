@@ -61,7 +61,8 @@ TEST(Dropout, BackwardUsesSameMask) {
   Tensor y = d.forward(x, true);
   Tensor g({1, 50});
   g.fill(1.0f);
-  Tensor dx = d.backward(g);
+  Tensor dx;
+  d.backward(g, &dx);
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(dx[i], y[i]);  // same mask, same scale
   }
@@ -74,7 +75,8 @@ TEST(Dropout, BackwardAfterInferenceIsIdentity) {
   x.fill(2.0f);
   d.forward(x, false);
   Tensor g = Tensor::from({1, 4}, {1, 2, 3, 4});
-  Tensor dx = d.backward(g);
+  Tensor dx;
+  d.backward(g, &dx);
   EXPECT_TRUE(dx == g);
 }
 

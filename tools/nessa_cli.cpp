@@ -105,7 +105,7 @@ void print_usage() {
       "             [--csv PATH] [--json PATH]\n";
 }
 
-enum class ParseResult { kRun, kHelp, kError };
+using tools::ParseResult;
 
 ParseResult parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {

@@ -1,6 +1,7 @@
-// Strict numeric flag parsing shared by the command-line tools, so that a
-// bad number is a config error (exit 1) instead of a silent wrong value:
-// std::atol("-1") wraps to a huge count and std::atol("abc") reads as 0.
+// Flag parsing shared by the command-line tools. Numbers parse strictly, so
+// that a bad number is a config error (exit 1) instead of a silent wrong
+// value: std::atol("-1") wraps to a huge count and std::atol("abc") reads
+// as 0.
 #pragma once
 
 #include <charconv>
@@ -11,6 +12,10 @@
 #include <type_traits>
 
 namespace nessa::tools {
+
+/// What a tool's flag parse decided: run, or exit 0 after --help printed
+/// the usage, or exit 1 after an error was reported.
+enum class ParseResult { kRun, kHelp, kError };
 
 /// Strict numeric flag value: the whole token must parse, counts take no
 /// sign and must fit their type, reals must be finite. On failure prints a

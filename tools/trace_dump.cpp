@@ -59,64 +59,68 @@ void print_usage() {
                "duplicates]\n";
 }
 
-bool parse(int argc, char** argv, Options& opt) {
+using tools::ParseResult;
+
+ParseResult parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::cerr << "missing value for " << what << "\n";
+        std::cerr << "missing value for " << arg << "\n";
         return nullptr;
       }
       return argv[++i];
     };
+    auto number = [&](auto& field) {
+      const char* v = next();
+      return v != nullptr && tools::parse_number(arg, v, field);
+    };
+    auto text = [&](std::string& field) {
+      const char* v = next();
+      if (v != nullptr) field = v;
+      return v != nullptr;
+    };
+    bool ok = true;
     if (arg == "--help" || arg == "-h") {
       print_usage();
-      return false;
+      return ParseResult::kHelp;
     } else if (arg == "--trace") {
-      const char* v = next("--trace");
-      if (!v) return false;
-      opt.trace_path = v;
+      ok = text(opt.trace_path);
     } else if (arg == "--metrics") {
-      const char* v = next("--metrics");
-      if (!v) return false;
-      opt.metrics_path = v;
+      ok = text(opt.metrics_path);
     } else if (arg == "--pipeline-epochs") {
-      const char* v = next("--pipeline-epochs");
-      if (!v || !tools::parse_number(arg, v, opt.pipeline_epochs)) return false;
+      ok = number(opt.pipeline_epochs);
     } else if (arg == "--train-epochs") {
-      const char* v = next("--train-epochs");
-      if (!v || !tools::parse_number(arg, v, opt.train_epochs)) return false;
+      ok = number(opt.train_epochs);
     } else if (arg == "--scale") {
-      const char* v = next("--scale");
-      if (!v || !tools::parse_number(arg, v, opt.scale)) return false;
+      ok = number(opt.scale);
     } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (!v || !tools::parse_number(arg, v, opt.seed)) return false;
+      ok = number(opt.seed);
     } else if (arg == "--fault-plan") {
-      const char* v = next("--fault-plan");
-      if (!v) return false;
-      opt.fault_plan = v;
+      ok = text(opt.fault_plan);
     } else if (arg == "--fleet-jobs") {
-      const char* v = next("--fleet-jobs");
-      if (!v || !tools::parse_number(arg, v, opt.fleet_jobs)) return false;
+      ok = number(opt.fleet_jobs);
     } else if (arg == "--scenario") {
-      const char* v = next("--scenario");
-      if (!v) return false;
-      opt.scenario = v;
+      ok = text(opt.scenario);
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       print_usage();
-      return false;
+      return ParseResult::kError;
     }
+    if (!ok) return ParseResult::kError;
   }
-  return true;
+  return ParseResult::kRun;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse(argc, argv, opt)) return 1;
+  switch (parse(argc, argv, opt)) {
+    case ParseResult::kRun: break;
+    case ParseResult::kHelp: return 0;
+    case ParseResult::kError: return 1;
+  }
 
   core::RunConfig rc;
   rc.train.epochs = opt.train_epochs;
