@@ -297,10 +297,9 @@ Tensor matmul_naive(const Tensor& a, const Tensor& b) {
 
 Tensor transpose(const Tensor& a) {
   require_rank2(a, "transpose");
-  const std::size_t m = a.rows(), n = a.cols();
-  Tensor t({n, m});
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) t(j, i) = a(i, j);
+  Tensor t({a.cols(), a.rows()});
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
   }
   return t;
 }
