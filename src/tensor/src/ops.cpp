@@ -375,21 +375,14 @@ void relu_backward(Tensor& grad, const Tensor& pre_activation) {
   if (grad.shape() != pre_activation.shape()) {
     throw std::invalid_argument("relu_backward: shape mismatch");
   }
-  // A compare-and-mask pass, not a branch: ReLU's sign pattern is random,
-  // so a branch mispredicts on half the elements. pre <= 0 is false for
-  // NaN, which keeps its gradient.
+  // An unconditional select, not a branch: ReLU's sign pattern is random,
+  // so a branch mispredicts on half the elements, while the select
+  // vectorizes into a compare-and-mask. pre <= 0 is false for NaN, which
+  // keeps its gradient.
   float* g = grad.data();
   const float* pre = pre_activation.data();
   const std::size_t size = grad.size();
-  std::size_t i = 0;
-#if defined(__SSE2__)
-  const __m128 zero = _mm_setzero_ps();
-  for (; i + 4 <= size; i += 4) {
-    const __m128 dead = _mm_cmple_ps(_mm_loadu_ps(pre + i), zero);
-    _mm_storeu_ps(g + i, _mm_andnot_ps(dead, _mm_loadu_ps(g + i)));
-  }
-#endif
-  for (; i < size; ++i) g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
+  for (std::size_t i = 0; i < size; ++i) g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
 }
 
 float squared_l2(std::span<const float> a, std::span<const float> b) noexcept {
