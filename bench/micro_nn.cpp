@@ -63,6 +63,24 @@ void BM_GemmParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmParallel)->Range(128, 512);
 
+/// 256 x k times k x 256, serial, for A * B and A^T * B: at k = 4096 the
+/// 4 MB B operand is larger than a 2 MB L2, so the kernels' step blocking
+/// shows here and nowhere in the square shapes above.
+void BM_GemmDeepK(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const bool at_b = state.range(1) != 0;
+  auto a = at_b ? random_matrix(k, 256, 1) : random_matrix(256, k, 1);
+  auto b = random_matrix(k, 256, 2);
+  for (auto _ : state) {
+    auto c = at_b ? tensor::matmul_at_b(a, b, false)
+                  : tensor::matmul(a, b, false);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * 256 * 256 * k));
+}
+BENCHMARK(BM_GemmDeepK)->ArgsProduct({{512, 4096}, {0, 1}});
+
 void BM_PairwiseSqDists(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto x = random_matrix(n, 16, 3);

@@ -16,6 +16,10 @@ namespace nessa::tensor {
 namespace {
 
 constexpr std::size_t kParallelThresholdFlops = 1u << 22;  // ~4 MFLOP
+/// Summation steps per pass of the A*B and A^T*B kernels: one pass sweeps
+/// every row against a kBlock-row slab of B, which stays in L2 however
+/// large the whole of B is.
+constexpr std::size_t kBlock = 128;
 /// B-row tile for the A*B^T kernel: 32 B rows of a few hundred floats stay
 /// resident in L1 while the A rows stream against them.
 constexpr std::size_t kRowTile = 32;
@@ -66,16 +70,21 @@ float gemm_element(const float* a, std::size_t a_step, const float* b,
 #if defined(__SSE2__)
 
 /// One R x 4V tile of C, each element in gemm_element's order: the
-/// accumulators start at +0 and take one _mm_mul_ps then one _mm_add_ps per
+/// accumulators start at +0, or at C's partial sums when the tile resumes
+/// after an earlier pass, and take one _mm_mul_ps then one _mm_add_ps per
 /// step, with no zero skip. A element (row r, step s) sits at
-/// a[r * a_row + s * a_step], B row s at b + s * ldb.
+/// a[r * a_row + s * a_step], B row s at b + s * ldb. Only the columns from
+/// `from` on are stored; the ones before it belong to the previous tile.
 template <std::size_t R, std::size_t V>
 void gemm_tile(const float* a, std::size_t a_row, std::size_t a_step,
                const float* b, std::size_t ldb, float* c, std::size_t ldc,
-               std::size_t steps) noexcept {
+               std::size_t steps, bool resume, std::size_t from) noexcept {
   __m128 acc[R][V];
   for (std::size_t r = 0; r < R; ++r) {
-    for (std::size_t v = 0; v < V; ++v) acc[r][v] = _mm_setzero_ps();
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] =
+          resume ? _mm_loadu_ps(c + r * ldc + 4 * v) : _mm_setzero_ps();
+    }
   }
   for (std::size_t s = 0; s < steps; ++s, a += a_step, b += ldb) {
     __m128 bv[V];
@@ -88,34 +97,43 @@ void gemm_tile(const float* a, std::size_t a_row, std::size_t a_step,
     }
   }
   for (std::size_t r = 0; r < R; ++r) {
-    for (std::size_t v = 0; v < V; ++v) {
-      _mm_storeu_ps(c + r * ldc + 4 * v, acc[r][v]);
+    if (from == 0) {
+      for (std::size_t v = 0; v < V; ++v) {
+        _mm_storeu_ps(c + r * ldc + 4 * v, acc[r][v]);
+      }
+      continue;
     }
+    float out[4 * V];
+    for (std::size_t v = 0; v < V; ++v) _mm_storeu_ps(out + 4 * v, acc[r][v]);
+    std::copy(out + from, out + 4 * V, c + r * ldc + from);
   }
 }
 
 /// All n >= 4 columns of R rows of C, in 8-wide tiles (4-wide when n < 8).
-/// The leftover columns take one more tile that ends at column n; the
-/// columns it shares with the previous tile get the same bits again.
+/// The leftover columns take one more tile that ends at column n and
+/// stores only the columns past the previous tile.
 template <std::size_t R>
 void gemm_row_tiles(const float* a, std::size_t a_row, std::size_t a_step,
                     const float* b, float* c, std::size_t steps,
-                    std::size_t n) noexcept {
+                    std::size_t n, bool resume) noexcept {
   std::size_t j = 0;
   if (n >= 8) {
     for (; j + 8 <= n; j += 8) {
-      gemm_tile<R, 2>(a, a_row, a_step, b + j, n, c + j, n, steps);
+      gemm_tile<R, 2>(a, a_row, a_step, b + j, n, c + j, n, steps, resume, 0);
     }
     if (j == n) return;
     if (n - j > 4) {
-      gemm_tile<R, 2>(a, a_row, a_step, b + n - 8, n, c + n - 8, n, steps);
+      gemm_tile<R, 2>(a, a_row, a_step, b + n - 8, n, c + n - 8, n, steps,
+                      resume, j + 8 - n);
       return;
     }
   } else {
-    gemm_tile<R, 1>(a, a_row, a_step, b, n, c, n, steps);
+    gemm_tile<R, 1>(a, a_row, a_step, b, n, c, n, steps, resume, 0);
     if (n == 4) return;
+    j = 4;
   }
-  gemm_tile<R, 1>(a, a_row, a_step, b + n - 4, n, c + n - 4, n, steps);
+  gemm_tile<R, 1>(a, a_row, a_step, b + n - 4, n, c + n - 4, n, steps, resume,
+                  j + 4 - n);
 }
 
 /// The 2x2 block C[i..i+1][j..j+1] of A * B^T, each element in dot_lanes'
@@ -161,23 +179,34 @@ void abt_tile(const float* a0, const float* a1, const float* b0,
 /// C rows [r0, r1) of a GEMM whose A element (row i, step s) sits at
 /// a[i * a_row + s * a_step]: C = A * B for (a_row, a_step) = (k, 1) and
 /// C = A^T * B for (1, k). B is (steps x n), C is (rows x n). SSE2 builds
-/// run 4x8 register tiles; fewer than 4 columns, and builds without SSE2,
-/// run gemm_element itself.
+/// run 4x8 register tiles in passes of kBlock steps; a pass after the first
+/// resumes from the partial sums the one before it stored, so the order of
+/// each element's sum is the same as in one pass. Fewer than 4 columns,
+/// and builds without SSE2, run gemm_element itself.
 void gemm_rows(const float* a, std::size_t a_row, std::size_t a_step,
                const float* b, float* c, std::size_t r0, std::size_t r1,
                std::size_t steps, std::size_t n) {
-  std::size_t i = r0;
 #if defined(__SSE2__)
   if (n >= 4) {
-    for (; i + 4 <= r1; i += 4) {
-      gemm_row_tiles<4>(a + i * a_row, a_row, a_step, b, c + i * n, steps, n);
+    for (std::size_t s0 = 0; s0 < steps; s0 += kBlock) {
+      const std::size_t len = std::min(kBlock, steps - s0);
+      const float* as = a + s0 * a_step;
+      const float* bs = b + s0 * n;
+      const bool resume = s0 > 0;
+      std::size_t i = r0;
+      for (; i + 4 <= r1; i += 4) {
+        gemm_row_tiles<4>(as + i * a_row, a_row, a_step, bs, c + i * n, len, n,
+                          resume);
+      }
+      for (; i < r1; ++i) {
+        gemm_row_tiles<1>(as + i * a_row, a_row, a_step, bs, c + i * n, len, n,
+                          resume);
+      }
     }
-    for (; i < r1; ++i) {
-      gemm_row_tiles<1>(a + i * a_row, a_row, a_step, b, c + i * n, steps, n);
-    }
+    return;
   }
 #endif
-  for (; i < r1; ++i) {
+  for (std::size_t i = r0; i < r1; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       c[i * n + j] = gemm_element(a + i * a_row, a_step, b + j, n, steps);
     }

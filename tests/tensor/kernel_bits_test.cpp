@@ -107,7 +107,9 @@ void expect_same_bits(const Tensor& got, const Tensor& want, const char* who,
 }
 
 /// Runs `check(m, k, n, rng)` over every shape drawn from kDims, plus one
-/// shape above the 4 MFLOP threshold that splits rows across the pool.
+/// shape above the 4 MFLOP threshold that splits rows across the pool, and
+/// two whose sums run past 128 steps, so A * B resumes partial sums over
+/// three passes of B (A^T * B does in the 301-row shape).
 template <typename Check>
 void each_shape(Check check) {
   util::Rng rng(33);
@@ -117,6 +119,8 @@ void each_shape(Check check) {
     }
   }
   check(301, 128, 129, rng);
+  check(37, 300, 13, rng);
+  check(6, 260, 6, rng);
 }
 
 TEST(FloatKernelBits, MatmulMatchesOrderedReference) {
